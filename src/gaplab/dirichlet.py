@@ -27,14 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import prufer
+from . import prufer, rotation
 from .potentials import PotentialSpec, WindowChain
+from .prufer import LEFT, RIGHT
 from .spectrum import Gap
 
 TWO_PI = 2.0 * math.pi
-
-RIGHT = "right"
-LEFT = "left"
 
 ENTERS_UPPER = "enters_from_upper_edge"
 EXITS_LOWER = "exits_lower_edge"
@@ -67,10 +65,6 @@ class DirichletCurve:
     entry_xi: float | None = None
     exit_xi: float | None = None
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.xi.tolist(), self.mu.tolist()))
-
     def __len__(self) -> int:
         return len(self.xi)
 
@@ -87,35 +81,20 @@ def _xi_grid(xi_from: float, xi_to: float, dxi: float) -> np.ndarray:
 
 
 def _scan_theta_at_zero(spec, energies, offsets, L, side, rtol):
-    """Boundary phase theta(0) for arrays of (E, xi), one vectorized pass.
+    """Boundary phase theta(0) of one side's half-line problem, for arrays of
+    (E, xi): the decaying seed plus one theta_grid pass.
 
-    Single-component queries take the plain-float integrator, which is far
-    faster than the numpy stepper at width one.
+    theta(0) increases with E for RIGHT (forward from -L) and decreases with
+    E for LEFT (backward from +L).
     """
-    E = np.asarray(energies, dtype=float)
-    xi = np.asarray(offsets, dtype=float)
-    shape = np.broadcast_shapes(E.shape, xi.shape)
-    if int(np.prod(shape)) == 1:
-        e = float(E.reshape(-1)[0])
-        x = float(xi.reshape(-1)[0])
-        if side == RIGHT:
-            seed = prufer.seed_decaying_left(spec, e, x, L)
-            tr = prufer.integrate(spec, e, x, -L, 0.0, seed, rtol=rtol,
-                                  atol_theta=rtol * 1e-2,
-                                  atol_logr=rtol * 1e-2)
-        else:
-            seed = prufer.seed_decaying_right(spec, e, x, L)
-            tr = prufer.integrate(spec, e, x, L, 0.0, seed, rtol=rtol,
-                                  atol_theta=rtol * 1e-2,
-                                  atol_logr=rtol * 1e-2)
-        return np.full(shape, float(tr.thetas[-1]))
-    if side == RIGHT:
-        seeds = prufer.seed_decaying_left(spec, E, xi, L)
-        return prufer.theta_grid(spec, E, xi, -L, 0.0, seeds,
-                                 rtol=rtol, atol=rtol * 1e-2)
-    seeds = prufer.seed_decaying_right(spec, E, xi, L)
-    return prufer.theta_grid(spec, E, xi, L, 0.0, seeds,
+    x0, seeds = prufer.decaying_start(spec, energies, offsets, L, side)
+    return prufer.theta_grid(spec, energies, offsets, x0, 0.0, seeds,
                              rtol=rtol, atol=rtol * 1e-2)
+
+
+def _phase_order(lo, hi, side):
+    """(below, above): the ends of [lo, hi] where theta(0) is lower, higher."""
+    return (lo, hi) if side == RIGHT else (hi, lo)
 
 
 def _root_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray, L: float,
@@ -135,12 +114,10 @@ def _root_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray, L: float,
     lo, hi = gap.trimmed()
     offsets = np.asarray(offsets, dtype=float)
     n = offsets.shape[0]
-    edges = np.array([[lo], [hi]])
-    th = _scan_theta_at_zero(spec, edges, offsets[None, :], L, side, rtol)
-    if side == RIGHT:   # theta(0; E) increasing in E
-        t_lo, t_hi = th[0], th[1]
-    else:               # decreasing in E for the backward problem
-        t_lo, t_hi = th[1], th[0]
+    below, above = _phase_order(lo, hi, side)
+    edges = np.array([[below], [above]])
+    t_lo, t_hi = _scan_theta_at_zero(spec, edges, offsets[None, :], L, side,
+                                     rtol)
     k_min = np.floor(t_lo / math.pi + 1e-12).astype(int) + 1
     k_max = np.floor(t_hi / math.pi + 1e-12).astype(int)
 
@@ -155,18 +132,9 @@ def _root_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray, L: float,
     idx = np.array(idx)
     targets = np.array(targets)
     xi_c = offsets[idx]
-
-    e_lo = np.full(len(idx), lo)
-    e_hi = np.full(len(idx), hi)
-    n_iter = max(1, int(math.ceil(math.log2(max((hi - lo) / mu_tol, 2.0)))))
-    increasing = side == RIGHT
-    for _ in range(n_iter):
-        mid = 0.5 * (e_lo + e_hi)
-        t_mid = _scan_theta_at_zero(spec, mid, xi_c, L, side, rtol)
-        below = (t_mid < targets) if increasing else (t_mid > targets)
-        e_lo = np.where(below, mid, e_lo)
-        e_hi = np.where(below, e_hi, mid)
-    roots = 0.5 * (e_lo + e_hi)
+    roots = prufer.bisect(
+        lambda e: _scan_theta_at_zero(spec, e, xi_c, L, side, rtol),
+        below, above, targets, mu_tol)
 
     t_check = _scan_theta_at_zero(spec, roots, xi_c, STABILITY_FACTOR * L,
                                   side, rtol)
@@ -398,24 +366,6 @@ class DerivativeCheck:
     analytic: float
 
 
-def boundary_data_right(spec: PotentialSpec, energy: float, offset: float,
-                        L: float, *, rtol: float = 1e-10,
-                        max_step: float = 0.02) -> prufer.BoundaryData:
-    """Backward analog of prufer.boundary_data for the right half-line."""
-    th0 = prufer.seed_decaying_right(spec, energy, offset, L)
-    tr = prufer.integrate(spec, energy, offset, L, 0.0, th0,
-                          rtol=rtol, atol_theta=rtol * 1e-2,
-                          atol_logr=rtol * 1e-2, max_step=max_step)
-    lr = tr.log_amplitudes
-    lmax = float(np.max(lr))
-    weight = np.exp(2.0 * (lr - lmax)) * np.sin(tr.thetas) ** 2
-    norm2 = float(abs(np.trapezoid(weight, tr.xs)))
-    theta0 = float(tr.thetas[-1])
-    dpsi = math.exp(float(lr[-1]) - lmax) * math.cos(theta0) / math.sqrt(norm2)
-    return prufer.BoundaryData(sin_theta=math.sin(theta0), theta=theta0,
-                               dpsi_normalized=dpsi, trace=tr)
-
-
 def _refine_root_near(spec, gap, xi, mu_guess, side, L, *, tol, rtol,
                       band=None):
     """Re-pin a single Dirichlet value near a guess at one offset."""
@@ -425,24 +375,13 @@ def _refine_root_near(spec, gap, xi, mu_guess, side, L, *, tol, rtol,
     hi = min(hi_t, mu_guess + band)
     th = _scan_theta_at_zero(spec, np.array([lo, hi, mu_guess]),
                              np.asarray(xi, dtype=float), L, side, rtol)
-    increasing = side == RIGHT
-    t_lo, t_hi = (th[0], th[1]) if increasing else (th[1], th[0])
-    k = round(float(th[2]) / math.pi)
-    target = k * math.pi
-    if not (min(t_lo, t_hi) < target <= max(t_lo, t_hi)):
+    target = round(float(th[2]) / math.pi) * math.pi
+    if not (min(th[0], th[1]) < target <= max(th[0], th[1])):
         lo, hi = lo_t, hi_t  # fall back to the full trimmed gap
-    e_lo, e_hi = lo, hi
-    while e_hi - e_lo > tol:
-        mid = 0.5 * (e_lo + e_hi)
-        t_mid = float(_scan_theta_at_zero(spec, np.array([mid]),
-                                          np.asarray(xi, dtype=float),
-                                          L, side, rtol)[0])
-        below = (t_mid < target) if increasing else (t_mid > target)
-        if below:
-            e_lo = mid
-        else:
-            e_hi = mid
-    return 0.5 * (e_lo + e_hi)
+    below, above = _phase_order(lo, hi, side)
+    return float(prufer.bisect(
+        lambda e: _scan_theta_at_zero(spec, e, xi, L, side, rtol),
+        below, above, target, tol))
 
 
 def flow_derivative_check(spec: PotentialSpec, curve: DirichletCurve,
@@ -470,12 +409,8 @@ def flow_derivative_check(spec: PotentialSpec, curve: DirichletCurve,
     mu_m = _refine_root_near(spec, curve.gap, xi0 - delta, mu_c, side, L,
                              tol=tol, rtol=rtol, band=band)
     fd = (mu_p - mu_m) / (2.0 * delta)
-    if side == RIGHT:
-        bd = prufer.boundary_data(spec, mu_c, xi0, L, rtol=rtol)
-        analytic = -bd.dpsi_normalized ** 2
-    else:
-        bd = boundary_data_right(spec, mu_c, xi0, L, rtol=rtol)
-        analytic = +bd.dpsi_normalized ** 2
+    bd = prufer.boundary_data(spec, mu_c, xi0, L, side=side, rtol=rtol)
+    analytic = (-1.0 if side == RIGHT else 1.0) * bd.dpsi_normalized ** 2
     return DerivativeCheck(finite_difference=float(fd),
                            analytic=float(analytic))
 
@@ -497,28 +432,18 @@ def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side, *, dxi, rtol):
     xis = np.linspace(xi_lo, xi_hi, n)
     th = _scan_theta_at_zero(spec, float(mu), xis, L, side, rtol)
     kf = np.floor(th / math.pi + 1e-12).astype(int)
-    brackets = []
+    below, above, targets = [], [], []
     for j in range(n - 1):
+        upward = kf[j + 1] > kf[j]
         for k in range(min(kf[j], kf[j + 1]) + 1, max(kf[j], kf[j + 1]) + 1):
-            brackets.append((xis[j], xis[j + 1], k * math.pi,
-                             kf[j + 1] > kf[j]))
-    roots = []
-    for (a, b, target, upward) in brackets:
-        lo, hi = a, b
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            t = float(_scan_theta_at_zero(spec, float(mu),
-                                          np.asarray(mid), L, side, rtol))
-            if (t < target) == upward:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-11:
-                break
-        roots.append(0.5 * (lo + hi))
-    if not roots:
+            below.append(xis[j] if upward else xis[j + 1])
+            above.append(xis[j + 1] if upward else xis[j])
+            targets.append(k * math.pi)
+    if not targets:
         return np.empty(0)
-    roots = np.array(sorted(roots))
+    roots = np.sort(prufer.bisect(
+        lambda x: _scan_theta_at_zero(spec, float(mu), x, L, side, rtol),
+        below, above, targets, 1e-11))
     t_check = _scan_theta_at_zero(spec, float(mu), roots,
                                   STABILITY_FACTOR * L, side, rtol)
     return roots[np.abs(np.sin(t_check)) < STABILITY_RESIDUAL]
@@ -710,8 +635,6 @@ def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
     phase jump of pi or more marks under-resolution: dxi is halved when the
     flow is built here, and rejected when the flow was supplied.
     """
-    from . import rotation as _rotation
-
     chain = chain or default_xi_chain()
     a_big, b_big = chain.largest
     sides = (RIGHT,) if variant == "right_only" else (RIGHT, LEFT)
@@ -736,9 +659,9 @@ def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
     def lift_fn(x):
         return float(np.interp(x, xis, phi))
 
-    rot = _rotation.rotation_number(lift_fn, chain)
+    rot = rotation.rotation_number(lift_fn, chain)
     values = tuple((i, -v / TWO_PI) for i, v in rot.window_values)
-    mean = _rotation.LambdaMean(
+    mean = rotation.LambdaMean(
         window_values=values,
         extrapolated=-rot.extrapolated / TWO_PI,
         error_estimate=rot.error_estimate / TWO_PI,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import dirichlet, lattice, potentials
+from . import dirichlet, lattice, potentials, rotation
 from .dirichlet import phase_lift, _xi_grid
 from .potentials import PotentialSpec, WindowChain
 from .spectrum import Gap
@@ -259,12 +259,10 @@ def single_curve_reduction_residual(spec: PotentialSpec, gap: Gap, curve,
 
 def _window_means_to_result(chain: WindowChain, window_values,
                             extra_err: float = 0.0) -> KLabelResult:
-    from .rotation import _extrapolate
-
     values = np.array([v.real for v in window_values])
     # small windows carry large boundary terms; only the tail is diagnostic
     imag = float(np.max(np.abs(np.array([v.imag for v in window_values[-3:]]))))
-    extrap, err, _ = _extrapolate(chain.lengths, values)
+    extrap, err, _ = rotation.extrapolate(chain.lengths, values)
     return KLabelResult(value=float(extrap),
                         error_estimate=err + imag + extra_err,
                         imag_residue=imag)
@@ -338,10 +336,8 @@ def boundary_force(flow, gap: Gap,
             drop += mu_hi - mu_lo
         window_values.append(-drop / (width * (b - a)))
 
-    from .rotation import _extrapolate
-
     values = np.array(window_values)
-    extrap, err, _ = _extrapolate(chain.lengths, values)
+    extrap, err, _ = rotation.extrapolate(chain.lengths, values)
     a_big, b_big = chain.largest
     xis = _xi_grid(a_big, b_big, 0.05)
     dmax = dirichlet.max_dirichlet_count(flow, xis)

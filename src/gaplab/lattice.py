@@ -82,23 +82,6 @@ def fd_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
                                 select_range=(e_min, e_max))
 
 
-def fd_eigenvalues_richardson(spec: PotentialSpec, a: float, b: float,
-                              xi: float, h: float, e_min: float,
-                              e_max: float) -> np.ndarray:
-    """Eigenvalues extrapolated from steps h and h/2 (second-order scheme)."""
-    w1 = fd_eigenvalues(spec, a, b, xi, h, e_min, e_max)
-    w2 = fd_eigenvalues(spec, a, b, xi, h / 2, e_min, e_max)
-    out = []
-    for v in w2:
-        near = w1[np.abs(w1 - v) < 0.25 * max(1e-6, abs(e_max - e_min))]
-        if len(near):
-            v1 = near[np.argmin(np.abs(near - v))]
-            out.append((4.0 * v - v1) / 3.0)
-        else:
-            out.append(v)
-    return np.array(out)
-
-
 def floquet_band_edges(spec: PotentialSpec, period: float, h: float,
                        n_bands: int) -> list[tuple[float, float]]:
     """Band intervals of a periodic potential from Bloch phases 0 and pi.

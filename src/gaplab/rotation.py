@@ -39,7 +39,7 @@ class LambdaMean:
         return self.window_values[-1][1]
 
 
-def _extrapolate(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, bool]:
+def extrapolate(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, bool]:
     """Extrapolated value, error estimate, and a divergence flag.
 
     When the last differences shrink consistently with a 1/|W| boundary term,
@@ -78,7 +78,7 @@ def lambda_mean(f, chain: WindowChain, *, quad_tol: float = 1e-9,
                               epsrel=quad_tol, limit=limit)
         values.append(val / (b - a))
     values = np.array(values)
-    extrap, err, diverged = _extrapolate(chain.lengths, values)
+    extrap, err, diverged = extrapolate(chain.lengths, values)
     return LambdaMean(
         window_values=tuple((i, float(v)) for i, v in enumerate(values)),
         extrapolated=extrap, error_estimate=err, diverged=diverged)
@@ -95,7 +95,7 @@ def rotation_number(lift, chain: WindowChain) -> LambdaMean:
     for (a, b) in chain.windows:
         values.append((lift(b) - lift(a)) / (b - a))
     values = np.array(values, dtype=float)
-    extrap, err, diverged = _extrapolate(chain.lengths, values)
+    extrap, err, diverged = extrapolate(chain.lengths, values)
     return LambdaMean(
         window_values=tuple((i, float(v)) for i, v in enumerate(values)),
         extrapolated=extrap, error_estimate=err, diverged=diverged)
@@ -150,8 +150,8 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
     lift_vals = np.array(lift_vals)
     zero_vals = np.array(zero_vals)
 
-    ex_l, err_l, div_l = _extrapolate(lengths, lift_vals)
-    ex_z, err_z, div_z = _extrapolate(lengths, zero_vals)
+    ex_l, err_l, div_l = extrapolate(lengths, lift_vals)
+    ex_z, err_z, div_z = extrapolate(lengths, zero_vals)
     # count granularity floor for the zero-density route
     err_z = max(err_z, 1.0 / float(lengths[-1]))
     err_l = max(err_l, 0.5 / float(lengths[-1]))

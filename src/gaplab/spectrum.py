@@ -59,6 +59,20 @@ class BoxCount:
     ambiguous: bool
 
 
+def _theta_end(spec: PotentialSpec, a: float, b: float, xi: float,
+               energies, rtol: float) -> np.ndarray:
+    """theta(b) of the box problem with theta(a) = 0, one energy at a time.
+
+    Each energy takes theta_grid's plain-float path, whose error control
+    includes log r.  Over long boxes the shared numpy steps, which control
+    theta alone, move box eigenvalues by several times their tolerance and
+    flip the counts that edge refinement decides on.
+    """
+    return np.array([prufer.theta_grid(spec, e, xi, a, b, 0.0, rtol=rtol,
+                                       atol=rtol * 1e-2)
+                     for e in np.ravel(energies)]).reshape(np.shape(energies))
+
+
 def eigenvalue_count_info(spec: PotentialSpec, a: float, b: float, xi: float,
                           energy: float, *, rtol: float = 1e-9) -> BoxCount:
     """Count with the final phase attached; flags near-eigenvalue queries.
@@ -69,10 +83,7 @@ def eigenvalue_count_info(spec: PotentialSpec, a: float, b: float, xi: float,
     """
     if not b > a:
         raise ValueError("need a < b")
-    tr = prufer.integrate(spec, energy, xi, a, b, 0.0,
-                          rtol=rtol, atol_theta=rtol * 1e-2,
-                          atol_logr=rtol * 1e-2)
-    theta_b = float(tr.thetas[-1])
+    theta_b = float(_theta_end(spec, a, b, xi, energy, rtol))
     frac = theta_b / math.pi
     ambiguous = abs(frac - round(frac)) * math.pi < AMBIGUITY_TOL
     return BoxCount(count=int(math.floor(frac + 1e-12)), theta_end=theta_b,
@@ -93,12 +104,6 @@ def counts_grid(spec: PotentialSpec, a: float, b: float, xi: float,
     return np.floor(th / math.pi + 1e-12).astype(int)
 
 
-def _theta_end(spec, a, b, xi, energy, rtol):
-    tr = prufer.integrate(spec, energy, xi, a, b, 0.0, rtol=rtol,
-                          atol_theta=rtol * 1e-2, atol_logr=rtol * 1e-2)
-    return float(tr.thetas[-1])
-
-
 def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
                           e_min: float, e_max: float, *, tol: float = 1e-9,
                           rtol: float = 1e-9) -> np.ndarray:
@@ -106,28 +111,20 @@ def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
 
     Eigenvalue m solves theta(b; E) = m*pi, with theta(b; .) strictly
     increasing, so each one is bracketed by integer jumps of the count and
-    then pinned by bisection on the continuous phase.
+    then pinned by one joint bisection of all of them on the continuous
+    phase.
     """
     if not (b > a and e_max > e_min):
         raise ValueError("need a < b and e_min < e_max")
-    t_lo = _theta_end(spec, a, b, xi, e_min, rtol)
-    t_hi = _theta_end(spec, a, b, xi, e_max, rtol)
+
+    def theta_of(energies):
+        return _theta_end(spec, a, b, xi, energies, rtol)
+
+    t_lo, t_hi = theta_of(np.array([e_min, e_max]))
     k_first = int(math.ceil(t_lo / math.pi - 1e-12))
     k_last = int(math.floor(t_hi / math.pi + 1e-12))
-    roots = []
-    for k in range(k_first, k_last + 1):
-        target = k * math.pi
-        lo, hi = e_min, e_max
-        f_lo = t_lo - target
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            f_mid = _theta_end(spec, a, b, xi, mid, rtol) - target
-            if f_mid < 0.0:
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return np.array(roots)
+    targets = np.arange(k_first, k_last + 1) * math.pi
+    return prufer.bisect(theta_of, e_min, e_max, targets, tol)
 
 
 @dataclass(frozen=True)
@@ -168,25 +165,6 @@ def ids(spec: PotentialSpec, energy: float, chain: WindowChain | None = None,
                      converged=converged)
 
 
-def _refine_edge(spec, xi, window, e_in_gap, e_in_band, n_ref, rtol,
-                 iterations=16):
-    """Bisect between a gap energy and a band energy for the band edge.
-
-    The predicate 'still in the gap' is that at most PLATEAU_STATES box
-    eigenvalues separate E from the plateau reference count.
-    """
-    a, b = window
-    lo, hi = e_in_band, e_in_gap
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        n_mid = eigenvalue_count(spec, a, b, xi, mid, rtol=rtol)
-        if abs(n_mid - n_ref) <= PLATEAU_STATES:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
                 resolution: float = 0.02, chain: WindowChain | None = None,
                 xi: float = 0.0, rtol: float = 1e-6, min_cells: int = 2,
@@ -199,9 +177,9 @@ def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
     flanking band density would have filled the run with at least
     `significance` states, which separates true plateaus from short count
     fluctuations on windows that are too small.  Runs flat on the two
-    largest windows are confirmed; edges are refined by bisection on the
-    count jump.  Runs touching the scan boundary are dropped since only one
-    edge is visible.
+    largest windows are confirmed; edges are refined by one joint bisection
+    on the count jump.  Runs touching the scan boundary are dropped since
+    only one edge is visible.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -223,7 +201,7 @@ def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
         runs.append((start, n_grid - 1))
 
     flank = 3
-    gaps = []
+    candidates = []
     for (i0, i1) in runs:
         if i0 == 0 or i1 == n_grid - 1:
             continue  # touches the scan boundary; edges not establishable
@@ -234,12 +212,24 @@ def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
         expected = 0.5 * (left_rate + right_rate) * (i1 - i0)
         if expected < significance:
             continue
-        m = (i0 + i1) // 2
-        n_ref = int(c1[m])
-        lower = _refine_edge(spec, xi, w1, energies[i0], energies[i0 - 1],
-                             n_ref, rtol)
-        upper = _refine_edge(spec, xi, w1, energies[i1], energies[i1 + 1],
-                             n_ref, rtol)
+        candidates.append((i0, i1, int(c1[(i0 + i1) // 2])))
+
+    # An energy is still in the gap while at most PLATEAU_STATES box
+    # eigenvalues separate it from the plateau count n_ref: above the phase
+    # (n_ref - 2) pi at the lower edge, below (n_ref + 3) pi at the upper one.
+    # Each edge gets 16 halvings of its grid cell.
+    below, above, targets = [], [], []
+    for (i0, i1, n_ref) in candidates:
+        below += [energies[i0 - 1], energies[i1]]
+        above += [energies[i0], energies[i1 + 1]]
+        targets += [(n_ref - PLATEAU_STATES) * math.pi,
+                    (n_ref + PLATEAU_STATES + 1) * math.pi]
+    edges = prufer.bisect(
+        lambda e: _theta_end(spec, w1[0], w1[1], xi, e, rtol),
+        below, above, targets, float(np.max(np.diff(energies))) / 2 ** 16)
+
+    gaps = []
+    for (i0, i1, _), lower, upper in zip(candidates, edges[::2], edges[1::2]):
         if not upper > lower:
             continue
         c2 = counts_grid(spec, w2[0], w2[1], xi, energies[i0:i1 + 1],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import lattice, prufer
+from gaplab import dirichlet, lattice, prufer
 from gaplab.potentials import PotentialSpec
 
 from conftest import mathieu_gap_edges
@@ -114,12 +114,43 @@ def test_zero_count_against_matrix_oracle_mid_band(mathieu):
 
 def test_theta_grid_matches_scalar_path(mathieu):
     es = np.array([-0.5, 0.1, 1.3])
-    th_vec = prufer.theta_grid(mathieu, es, 0.2, -20.0, 0.0, 0.4,
-                               rtol=1e-10, atol=1e-12)
-    for e, tv in zip(es, th_vec):
-        tr = prufer.integrate(mathieu, float(e), 0.2, -20.0, 0.0, 0.4,
-                              rtol=1e-10)
-        assert tv == pytest.approx(tr.thetas[-1], abs=1e-7)
+    for x_start in (-20.0, 20.0):   # forward and backward
+        th_vec = prufer.theta_grid(mathieu, es, 0.2, x_start, 0.0, 0.4,
+                                   rtol=1e-10, atol=1e-12)
+        for e, tv in zip(es, th_vec):
+            tr = prufer.integrate(mathieu, float(e), 0.2, x_start, 0.0, 0.4,
+                                  rtol=1e-10, atol_theta=1e-12,
+                                  atol_logr=1e-12)
+            assert tv == pytest.approx(tr.thetas[-1], abs=1e-7)
+            # width one runs integrate's float path: the same endpoint bits
+            th_one = prufer.theta_grid(mathieu, [e], 0.2, x_start, 0.0, 0.4,
+                                       rtol=1e-10, atol=1e-12)
+            assert th_one.shape == (1,)
+            assert th_one[0] == tr.thetas[-1]
+
+
+def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
+    # the left problem's boundary phase decreases in E, so its bracket is
+    # mirrored (below = upper end); reflecting E turns it into an ordered one
+    lo, hi = gap1.trimmed()
+    xis = np.linspace(0.0, 2.0 * math.pi, 5)
+
+    def theta_left(e):
+        return dirichlet._scan_theta_at_zero(mathieu, e, xis, 40.0,
+                                             prufer.LEFT, 1e-8)
+
+    t_lo, t_hi = theta_left(lo), theta_left(hi)
+    targets = np.floor(t_lo / math.pi) * math.pi
+    keep = targets > t_hi
+    assert np.any(keep)
+    xis, targets = xis[keep], targets[keep]
+    mirrored = prufer.bisect(theta_left, hi, lo, targets, 1e-7)
+    ordered = prufer.bisect(lambda y: theta_left(-y), -hi, -lo, targets, 1e-7)
+    assert np.array_equal(mirrored, -ordered)
+    assert np.all((mirrored > lo) & (mirrored < hi))
+    # the phase is above the target just below the root, below it just above
+    assert np.all(theta_left(mirrored - 1e-7) > targets)
+    assert np.all(theta_left(mirrored + 1e-7) < targets)
 
 
 def test_wronskian_constant_free_below_spectrum():

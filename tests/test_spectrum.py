@@ -56,6 +56,37 @@ def test_mathieu_box_eigenvalues_against_matrix_oracle(mathieu):
     assert np.max(np.abs(np.asarray(ours) - oracle)) < 5e-4
 
 
+def _scalar_dirichlet_eigenvalues(spec, a, b, xi, e_min, e_max, tol, rtol):
+    """Reference: one scalar bisection per eigenvalue on integrate's phase."""
+    def theta_end(e):
+        return prufer.integrate(spec, e, xi, a, b, 0.0, rtol=rtol,
+                                atol_theta=rtol * 1e-2,
+                                atol_logr=rtol * 1e-2).thetas[-1]
+
+    t_lo, t_hi = theta_end(e_min), theta_end(e_max)
+    roots = []
+    for k in range(int(math.ceil(t_lo / math.pi - 1e-12)),
+                   int(math.floor(t_hi / math.pi + 1e-12)) + 1):
+        lo, hi = e_min, e_max
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if theta_end(mid) < k * math.pi:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return np.array(roots)
+
+
+def test_dirichlet_eigenvalues_match_scalar_bisection(mathieu):
+    args = (mathieu, -10.0, 10.0, 0.3, -1.0, 3.0)
+    ref = _scalar_dirichlet_eigenvalues(*args, tol=1e-9, rtol=1e-9)
+    ours = spectrum.dirichlet_eigenvalues(*args, tol=1e-9, rtol=1e-9)
+    assert len(ref) >= 3
+    assert len(ours) == len(ref)
+    assert np.max(np.abs(ours - ref)) <= 1e-9
+
+
 def test_ids_free_particle():
     res = spectrum.ids(ZERO, 1.0)
     assert abs(res.value - 1.0 / math.pi) < 2e-3
