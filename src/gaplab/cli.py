@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
+from dataclasses import replace
 
 from . import dirichlet, harness, klabel, rotation, spectrum
 from .harness import ExperimentConfig, load_config, parse_potential_arg
@@ -35,31 +36,13 @@ def _base_config(args) -> ExperimentConfig:
         if val is not None:
             updates[attr] = val
     if updates:
-        from dataclasses import replace
         cfg = replace(cfg, **updates)
     return cfg
 
 
-def _xi_range(args, cfg) -> tuple[float, float]:
-    if getattr(args, "xi_range", None):
-        lo, hi = args.xi_range.split(":")
-        return float(lo), float(hi)
-    return cfg.xi_chain.largest
-
-
-def _first_gaps(cfg, limit=None):
-    gaps = spectrum.detect_gaps(cfg.potential, cfg.e_min, cfg.e_max,
-                                resolution=cfg.resolution, chain=cfg.x_chain)
-    if limit is not None:
-        gaps = gaps[:limit]
-    if cfg.max_gaps is not None:
-        gaps = gaps[: cfg.max_gaps]
-    return gaps
-
-
 def cmd_spectrum(args) -> int:
     cfg = _base_config(args)
-    gaps = _first_gaps(cfg)
+    gaps = harness.detect_gaps(cfg)
     print(f"scan [{cfg.e_min}, {cfg.e_max}] resolution {cfg.resolution}: "
           f"{len(gaps)} gap(s)")
     for i, g in enumerate(gaps):
@@ -89,12 +72,13 @@ def cmd_rotation(args) -> int:
 
 def cmd_flow(args) -> int:
     cfg = _base_config(args)
-    gaps = _first_gaps(cfg, limit=1)
+    gaps = harness.detect_gaps(cfg)
     if not gaps:
         print("no gap detected in the scan range")
         return 1
     gap = gaps[0]
-    lo, hi = _xi_range(args, cfg)
+    lo, hi = (map(float, args.xi_range.split(":")) if args.xi_range
+              else cfg.xi_chain.largest)
     curves = dirichlet.trace_flow(cfg.potential, gap, lo, hi, cfg.dxi, cfg.L,
                                   sides=(dirichlet.RIGHT, dirichlet.LEFT))
     print(f"gap ({gap.e_lower:.6f}, {gap.e_upper:.6f}): "
@@ -103,21 +87,16 @@ def cmd_flow(args) -> int:
         print(f"  {i}: {c.side} n={len(c)} xi=[{c.xi[0]:.3f}, {c.xi[-1]:.3f}]"
               f" mu {c.mu[0]:.6f} -> {c.mu[-1]:.6f} events={c.events}")
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
-        path = f"{args.out}/flow_curves.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("curve_id,side,xi,mu\n")
-            for ci, c in enumerate(curves):
-                for x, m in zip(c.xi, c.mu):
-                    fh.write(f"{ci},{c.side},{x!r},{m!r}\n")
+        path = os.path.join(args.out, "flow_curves.csv")
+        harness.write_flow_curves(path, [curves])
         print(f"wrote {path}")
     return 0
 
 
 def cmd_klabel(args) -> int:
     cfg = _base_config(args)
-    gaps = _first_gaps(cfg, limit=1)
+    gaps = harness.detect_gaps(cfg)
     if not gaps:
         print("no gap detected in the scan range")
         return 1
@@ -167,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="gap labels of one-dimensional Schrodinger operators")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, energy=False, xi_range=False):
+    def common(p, energy=False):
         p.add_argument("--config", help="experiment config file (INI)")
         p.add_argument("--potential",
                        help="'zero' or 'A,f,p[;A,f,p...]' cosine terms")
@@ -182,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         if energy:
             p.add_argument("--energy", type=float, required=True)
             p.add_argument("--xi", type=float, default=0.0)
-        if xi_range:
-            p.add_argument("--xi-range", dest="xi_range",
-                           help="offset sweep as 'lo:hi'")
 
     p = sub.add_parser("spectrum", help="detect spectral gaps")
     common(p)
@@ -199,11 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rotation)
 
     p = sub.add_parser("flow", help="Dirichlet-value flow in the first gap")
-    common(p, xi_range=True)
+    common(p)
+    p.add_argument("--xi-range", dest="xi_range",
+                   help="offset sweep as 'lo:hi'")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("klabel", help="edge-state trace labels, first gap")
-    common(p, xi_range=True)
+    common(p)
     p.set_defaults(func=cmd_klabel)
 
     p = sub.add_parser("report", help="full run with verdicts and artifacts")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ ENTERS_LOWER = "enters_from_lower_edge"
 EXITS_UPPER = "exits_upper_edge"
 PERSISTS = "persists"
 
+UPPER = "upper"
+LOWER = "lower"
+
 STABILITY_FACTOR = 1.5
 STABILITY_RESIDUAL = 1e-2
 
@@ -51,6 +54,35 @@ class FlowResolutionError(RuntimeError):
 def default_xi_chain() -> WindowChain:
     """Offset-window chain used for the circle-map rotation number."""
     return WindowChain.geometric(half_width=10.0, ratio=1.6, count=8)
+
+
+@dataclass(frozen=True)
+class CurveFamily:
+    """How the curves of one side cross a gap as xi increases."""
+
+    direction: float  # sign of d(mu)/d(xi)
+    entry_edge: str
+    exit_edge: str
+    entry_event: str
+    exit_event: str
+
+
+# a right curve falls from the upper edge to the lower one; a left curve
+# rises the other way
+FAMILIES = {
+    RIGHT: CurveFamily(-1.0, UPPER, LOWER, ENTERS_UPPER, EXITS_LOWER),
+    LEFT: CurveFamily(1.0, LOWER, UPPER, ENTERS_LOWER, EXITS_UPPER),
+}
+
+
+def _edge_energy(gap: Gap, edge: str) -> float:
+    return gap.e_upper if edge == UPPER else gap.e_lower
+
+
+def _near_edge(mu: float, gap: Gap, edge: str, band: float) -> bool:
+    """Whether mu lies within band of the trimmed gap's given edge."""
+    lo_t, hi_t = gap.trimmed()
+    return mu >= hi_t - band if edge == UPPER else mu <= lo_t + band
 
 
 @dataclass(frozen=True)
@@ -68,11 +100,18 @@ class DirichletCurve:
     def __len__(self) -> int:
         return len(self.xi)
 
-
-@dataclass(frozen=True)
-class CircleSample:
-    xi: float
-    phase: float
+    def extended(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xi, mu) extended linearly to the true-edge crossings."""
+        family = FAMILIES[self.side]
+        cxi = list(self.xi)
+        cmu = list(self.mu)
+        if self.entry_xi is not None and self.entry_xi < cxi[0]:
+            cxi = [self.entry_xi] + cxi
+            cmu = [_edge_energy(self.gap, family.entry_edge)] + cmu
+        if self.exit_xi is not None and self.exit_xi > cxi[-1]:
+            cxi = cxi + [self.exit_xi]
+            cmu = cmu + [_edge_energy(self.gap, family.exit_edge)]
+        return np.array(cxi), np.array(cmu)
 
 
 def _xi_grid(xi_from: float, xi_to: float, dxi: float) -> np.ndarray:
@@ -206,6 +245,7 @@ def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
     half the matching tolerance marks the step as under-resolved.
     """
     width = gap.width
+    direction = FAMILIES[side].direction
     active: list[dict] = []
     finished: list[dict] = []
     ambiguous = False
@@ -230,10 +270,8 @@ def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
                 tol = max(6.0 * abs(c["slope"]) * dxi, 0.05 * width)
             if dist > tol:
                 continue
-            step = roots[ri] - c["mu"][-1]
-            if side == RIGHT and step > 0.5 * tol:
-                continue
-            if side == LEFT and step < -0.5 * tol:
+            # a step against the family's direction is never a continuation
+            if direction * (roots[ri] - c["mu"][-1]) < -0.5 * tol:
                 continue
             rivals = [d for d, c2, r2 in pairs
                       if c2 == ci and r2 != ri and r2 not in used_r
@@ -262,53 +300,40 @@ def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
     return finished, ambiguous
 
 
+def _extrapolate(x0, y0, x1, y1, target):
+    if y1 == y0:
+        return x1
+    return x1 + (target - y1) * (x1 - x0) / (y1 - y0)
+
+
 def _curve_events(side: str, raw: dict, xis: np.ndarray, gap: Gap,
                   dxi: float):
+    """Edge events of an assembled curve of two or more samples, with its
+    true-edge crossings.
+
+    An end that lies inside the offset grid is an edge event when it sits
+    within a band of its trimmed edge; the band widens with the slope of
+    that end's own step, along which the crossing is extrapolated.
+    """
+    family = FAMILIES[side]
     cxi = np.array(raw["xi"])
     cmu = np.array(raw["mu"])
-    lo_t, hi_t = gap.trimmed()
-    band = max(4.0 * abs(raw["slope"]) * dxi, 0.08 * gap.width)
+
+    def crossing(end, inner, edge):
+        slope = (cmu[end] - cmu[inner]) / (cxi[end] - cxi[inner])
+        band = max(4.0 * abs(slope) * dxi, 0.08 * gap.width)
+        if not _near_edge(cmu[end], gap, edge, band):
+            return None
+        return _extrapolate(cxi[inner], cmu[inner], cxi[end], cmu[end],
+                            _edge_energy(gap, edge))
+
     starts_inside = cxi[0] > xis[0] + 0.5 * dxi
     ends_inside = cxi[-1] < xis[-1] - 0.5 * dxi
-    events = []
-    entry_xi = None
-    exit_xi = None
-
-    def extrapolate(x0, y0, x1, y1, target):
-        if y1 == y0:
-            return x1
-        return x1 + (target - y1) * (x1 - x0) / (y1 - y0)
-
-    if side == RIGHT:
-        if starts_inside and cmu[0] >= hi_t - band:
-            events.append(ENTERS_UPPER)
-            if len(cxi) >= 2:
-                entry_xi = extrapolate(cxi[1], cmu[1], cxi[0], cmu[0],
-                                       gap.e_upper)
-            else:
-                entry_xi = float(cxi[0] - 0.5 * dxi)
-        if ends_inside and cmu[-1] <= lo_t + band:
-            events.append(EXITS_LOWER)
-            if len(cxi) >= 2:
-                exit_xi = extrapolate(cxi[-2], cmu[-2], cxi[-1], cmu[-1],
-                                      gap.e_lower)
-            else:
-                exit_xi = float(cxi[-1] + 0.5 * dxi)
-    else:
-        if starts_inside and cmu[0] <= lo_t + band:
-            events.append(ENTERS_LOWER)
-            if len(cxi) >= 2:
-                entry_xi = extrapolate(cxi[1], cmu[1], cxi[0], cmu[0],
-                                       gap.e_lower)
-            else:
-                entry_xi = float(cxi[0] - 0.5 * dxi)
-        if ends_inside and cmu[-1] >= hi_t - band:
-            events.append(EXITS_UPPER)
-            if len(cxi) >= 2:
-                exit_xi = extrapolate(cxi[-2], cmu[-2], cxi[-1], cmu[-1],
-                                      gap.e_upper)
-            else:
-                exit_xi = float(cxi[-1] + 0.5 * dxi)
+    entry_xi = crossing(0, 1, family.entry_edge) if starts_inside else None
+    exit_xi = crossing(-1, -2, family.exit_edge) if ends_inside else None
+    events = [event for event, x in ((family.entry_event, entry_xi),
+                                     (family.exit_event, exit_xi))
+              if x is not None]
     if not starts_inside and not ends_inside:
         events.append(PERSISTS)
     return tuple(events), entry_xi, exit_xi
@@ -330,32 +355,25 @@ def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
     for _ in range(max_halvings + 1):
         xis = _xi_grid(xi_from, xi_to, step)
         curves: list[DirichletCurve] = []
-        ok = True
         for side in sides:
             roots = _root_scan(spec, gap, xis, L, side,
                                mu_tol=mu_tol, rtol=rtol)
             raw_curves, ambiguous = _assemble_side(side, xis, roots, gap, step)
-            if ambiguous:
-                ok = False
+            raw_curves = [raw for raw in raw_curves if len(raw["mu"]) >= 2]
+            if ambiguous or any(
+                    np.max(np.abs(np.diff(raw["mu"]))) > 0.2 * gap.width
+                    for raw in raw_curves):
                 break
             for raw in raw_curves:
-                if len(raw["mu"]) < 2:
-                    continue
-                if np.max(np.abs(np.diff(raw["mu"]))) > 0.2 * gap.width:
-                    ok = False
-                    break
                 events, entry_xi, exit_xi = _curve_events(side, raw, xis,
                                                           gap, step)
                 curves.append(DirichletCurve(
                     side=side, gap=gap,
                     xi=np.array(raw["xi"]), mu=np.array(raw["mu"]),
                     events=events, entry_xi=entry_xi, exit_xi=exit_xi))
-            if not ok:
-                break
-        if ok:
+        else:
             return curves
         step *= 0.5
-        curves = []
     raise FlowResolutionError(
         f"flow not resolved at dxi={step * 2} after {max_halvings} halvings")
 
@@ -410,7 +428,7 @@ def flow_derivative_check(spec: PotentialSpec, curve: DirichletCurve,
                              tol=tol, rtol=rtol, band=band)
     fd = (mu_p - mu_m) / (2.0 * delta)
     bd = prufer.boundary_data(spec, mu_c, xi0, L, side=side, rtol=rtol)
-    analytic = (-1.0 if side == RIGHT else 1.0) * bd.dpsi_normalized ** 2
+    analytic = FAMILIES[side].direction * bd.dpsi_normalized ** 2
     return DerivativeCheck(finite_difference=float(fd),
                            analytic=float(analytic))
 
@@ -524,18 +542,19 @@ def _min_jump_lift(raw: np.ndarray) -> np.ndarray:
 
 
 def _pair_top_edge_events(curves, xis):
-    """Common crossing offsets for coincident upper-edge events.
+    """Snap coincident upper-edge events to one common crossing offset.
 
     A right curve entering through the upper edge and a left curve exiting
     there are the same spectral event (at a band edge the two decaying
     solutions merge), so in the two-sided circle map their pi-sized phase
     contributions must cancel exactly.  Linear extrapolation puts the two
     crossings slightly apart; snapping both to the midpoint keeps the raw
-    phase sum continuous for the minimal-jump unwrap.
+    phase sum continuous for the minimal-jump unwrap.  Returns the curves
+    in order, the paired ones with their crossings replaced.
     """
     dxi = float(xis[1] - xis[0]) if len(xis) > 1 else 0.1
     pair_tol = max(8.0 * dxi, 0.5)
-    overrides: dict[int, float] = {}
+    snapped: dict[int, DirichletCurve] = {}
     lefts = [c for c in curves
              if c.side == LEFT and c.exit_xi is not None]
     used: set[int] = set()
@@ -554,10 +573,10 @@ def _pair_top_edge_events(curves, xis):
             mid = 0.5 * (rc.entry_xi + lc.exit_xi)
             mid = min(max(mid, float(lc.xi[-1]) + 1e-9),
                       float(rc.xi[0]) - 1e-9)
-            overrides[id(rc)] = mid
-            overrides[id(lc)] = mid
+            snapped[id(rc)] = replace(rc, entry_xi=mid)
+            snapped[id(lc)] = replace(lc, exit_xi=mid)
             used.add(id(lc))
-    return overrides
+    return [snapped.get(id(c), c) for c in curves]
 
 
 def phase_lift(curves, gap: Gap, xis: np.ndarray,
@@ -572,32 +591,17 @@ def phase_lift(curves, gap: Gap, xis: np.ndarray,
     if variant not in ("right_only", "two_sided"):
         raise ValueError(f"unknown variant {variant!r}")
     width = gap.width
-    overrides = (_pair_top_edge_events(curves, xis)
-                 if variant == "two_sided" else {})
+    if variant == "two_sided":
+        curves = _pair_top_edge_events(curves, xis)
+    else:
+        curves = [c for c in curves if c.side == RIGHT]
     raw = np.zeros(len(xis))
     for c in curves:
-        if c.side == RIGHT:
-            weight = TWO_PI / width if variant == "right_only" else math.pi / width
-        else:
-            if variant == "right_only":
-                continue
-            weight = -math.pi / width
-        entry_xi = overrides.get(id(c), c.entry_xi) \
-            if c.side == RIGHT else c.entry_xi
-        exit_xi = overrides.get(id(c), c.exit_xi) \
-            if c.side == LEFT else c.exit_xi
-        cxi = list(c.xi)
-        cmu = list(c.mu)
-        if entry_xi is not None and entry_xi < cxi[0]:
-            edge = gap.e_upper if c.side == RIGHT else gap.e_lower
-            cxi = [entry_xi] + cxi
-            cmu = [edge] + cmu
-        if exit_xi is not None and exit_xi > cxi[-1]:
-            edge = gap.e_lower if c.side == RIGHT else gap.e_upper
-            cxi = cxi + [exit_xi]
-            cmu = cmu + [edge]
-        cxi = np.array(cxi)
-        cmu = np.clip(np.array(cmu), gap.e_lower, gap.e_upper)
+        # two-sided: pi (r - l), each family counted against its direction
+        weight = (TWO_PI / width if variant == "right_only"
+                  else -FAMILIES[c.side].direction * math.pi / width)
+        cxi, cmu = c.extended()
+        cmu = np.clip(cmu, gap.e_lower, gap.e_upper)
         mask = (xis >= cxi[0]) & (xis <= cxi[-1])
         if not np.any(mask):
             continue
@@ -617,44 +621,26 @@ class BetaResult:
     xi_grid: np.ndarray = field(repr=False, default=None)
     lift: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def circle_samples(self) -> list[CircleSample]:
-        return [CircleSample(float(x), float(p))
-                for x, p in zip(self.xi_grid, self.lift)]
-
 
 def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
          dxi: float = 0.1, L: float = 60.0, variant: str = "right_only", *,
-         flow=None, mu_tol: float = 1e-7, rtol: float = 1e-8,
-         max_halvings: int = 3) -> BetaResult:
+         flow=None, mu_tol: float = 1e-7, rtol: float = 1e-8) -> BetaResult:
     """Dirichlet rotation number: minus the rotation of arg(mu_tilde)/2 pi.
 
-    The flow is traced over the largest chain window (both curve families
-    for the two-sided variant), the circle-map phase lift is assembled, and
-    the rotation number is taken over the offset windows.  A consecutive
-    phase jump of pi or more marks under-resolution: dxi is halved when the
-    flow is built here, and rejected when the flow was supplied.
+    Unless a flow is supplied, it is traced once over the largest chain
+    window (both curve families for the two-sided variant); trace_flow
+    itself halves dxi while the curves are under-resolved.  The circle-map
+    phase lift is assembled on the dxi grid and the rotation number is taken
+    over the offset windows.
     """
     chain = chain or default_xi_chain()
     a_big, b_big = chain.largest
-    sides = (RIGHT,) if variant == "right_only" else (RIGHT, LEFT)
-    step = float(dxi)
-    for attempt in range(max_halvings + 1):
-        local_flow = flow
-        if local_flow is None:
-            local_flow = trace_flow(spec, gap, a_big, b_big, step, L,
-                                    sides=sides, mu_tol=mu_tol, rtol=rtol)
-        xis = _xi_grid(a_big, b_big, step)
-        phi = phase_lift(local_flow, gap, xis, variant)
-        jumps = np.abs(np.diff(phi))
-        if not len(jumps) or float(np.max(jumps)) < math.pi:
-            break
-        if flow is not None:
-            raise FlowResolutionError(
-                "supplied flow leaves phase-lift jumps >= pi")
-        step *= 0.5
-    else:
-        raise FlowResolutionError("phase lift not continuous after halvings")
+    if flow is None:
+        sides = (RIGHT,) if variant == "right_only" else (RIGHT, LEFT)
+        flow = trace_flow(spec, gap, a_big, b_big, dxi, L, sides=sides,
+                          mu_tol=mu_tol, rtol=rtol)
+    xis = _xi_grid(a_big, b_big, dxi)
+    phi = phase_lift(flow, gap, xis, variant)
 
     def lift_fn(x):
         return float(np.interp(x, xis, phi))

@@ -20,12 +20,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dirichlet, klabel, potentials, rotation, spectrum
+from . import dirichlet, klabel, rotation, spectrum
 from .potentials import PotentialSpec, WindowChain
 from .spectrum import Gap
 
 LABEL_NAMES = ("ids", "alpha_lift", "beta_right", "pi_trace", "pi_curves",
                "boundary_force")
+
+# the label fields of GapLabelReport, in report order
+REPORT_LABELS = ("ids", "alpha_lift", "alpha_zero_density", "beta_right",
+                 "beta_two_sided", "pi_trace", "pi_curves", "boundary_force")
 
 NAMED_EQUALITIES = (
     ("alpha_eq_ids", "alpha_lift", "ids"),
@@ -187,44 +191,35 @@ class GapLabelReport:
         return all(v == "pass" for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "gap": {"e_lower": self.gap.e_lower, "e_upper": self.gap.e_upper,
-                    "confidence": self.gap.confidence},
-            "ids": self.ids.to_dict(),
-            "alpha_lift": self.alpha_lift.to_dict(),
-            "alpha_zero_density": self.alpha_zero_density.to_dict(),
-            "beta_right": self.beta_right.to_dict(),
-            "beta_two_sided": self.beta_two_sided.to_dict(),
-            "pi_trace": self.pi_trace.to_dict(),
-            "pi_curves": self.pi_curves.to_dict(),
-            "boundary_force": self.boundary_force.to_dict(),
-            "max_dirichlet_count": self.max_dirichlet_count,
-            "discrepancies": self.discrepancies,
-            "verdicts": self.verdicts,
-        }
+        d = {"gap": {"e_lower": self.gap.e_lower, "e_upper": self.gap.e_upper,
+                     "confidence": self.gap.confidence}}
+        for name in REPORT_LABELS:
+            d[name] = getattr(self, name).to_dict()
+        d.update(max_dirichlet_count=self.max_dirichlet_count,
+                 discrepancies=self.discrepancies, verdicts=self.verdicts)
+        return d
+
+
+def _compare(la: LabelValue, lb: LabelValue) -> dict:
+    """Two labels agree when they differ by at most the sum of their errors."""
+    diff = abs(la.value - lb.value)
+    tol = la.err + lb.err
+    return {"diff": diff, "tol": tol, "pass": bool(diff <= tol)}
 
 
 def _discrepancy_matrix(labels: dict[str, LabelValue]) -> dict:
-    out = {}
     names = [n for n in LABEL_NAMES if n in labels]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            la, lb = labels[a], labels[b]
-            diff = abs(la.value - lb.value)
-            tol = la.err + lb.err
-            out[f"{a}_vs_{b}"] = {"diff": diff, "tol": tol,
-                                  "pass": bool(diff <= tol)}
-    return out
+    return {f"{a}_vs_{b}": _compare(labels[a], labels[b])
+            for i, a in enumerate(names) for b in names[i + 1:]}
 
 
 def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
-    """Compute every label and verdict for one gap.
+    """Compute every label and verdict for one gap of detect_gaps(config).
 
     Returns (report, flow, beta_result, pi_trace_result); the trailing
     entries are the reusable raw artifacts behind the report.
     """
     spec = config.potential
-    gap = replace(gap, margin_fraction=config.gap_edge_margin)
 
     ids_res = spectrum.ids(spec, gap.mid, config.x_chain)
     alpha_res = rotation.johnson_moser_alpha(spec, gap.mid,
@@ -254,38 +249,34 @@ def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
         "pi_curves": LabelValue(pc.value, pc.error_estimate),
         "boundary_force": LabelValue(bf.value, bf.error_estimate),
     }
-    verdicts = {}
-    for name, a, b in NAMED_EQUALITIES:
-        diff = abs(labels[a].value - labels[b].value)
-        tol = labels[a].err + labels[b].err
-        verdicts[name] = "pass" if diff <= tol else "fail"
+    verdicts = {name: "pass" if _compare(labels[a], labels[b])["pass"]
+                else "fail" for name, a, b in NAMED_EQUALITIES}
 
     return GapLabelReport(
         gap=gap,
-        ids=labels["ids"],
-        alpha_lift=labels["alpha_lift"],
         alpha_zero_density=LabelValue(
             alpha_res.zero_density_mean.extrapolated,
             alpha_res.zero_density_mean.error_estimate),
-        beta_right=labels["beta_right"],
-        beta_two_sided=labels["beta_two_sided"],
-        pi_trace=labels["pi_trace"],
-        pi_curves=labels["pi_curves"],
-        boundary_force=labels["boundary_force"],
         max_dirichlet_count=bf.max_dirichlet_count,
         discrepancies=_discrepancy_matrix(labels),
         verdicts=verdicts,
+        **labels,
     ), flow, beta_r, pt
+
+
+def detect_gaps(config: ExperimentConfig) -> list[Gap]:
+    """The configured scan's gaps, at most max_gaps of them, each carrying
+    the configured edge margin."""
+    gaps = spectrum.detect_gaps(config.potential, config.e_min, config.e_max,
+                                resolution=config.resolution,
+                                chain=config.x_chain)
+    return [replace(g, margin_fraction=config.gap_edge_margin)
+            for g in gaps[: config.max_gaps]]
 
 
 def run(config: ExperimentConfig):
     """Full pipeline: detect gaps, label each, optionally persist artifacts."""
-    spec = config.potential
-    gaps = spectrum.detect_gaps(spec, config.e_min, config.e_max,
-                                resolution=config.resolution,
-                                chain=config.x_chain)
-    if config.max_gaps is not None:
-        gaps = gaps[: config.max_gaps]
+    gaps = detect_gaps(config)
     reports = []
     artifacts = []
     for gi, gap in enumerate(gaps):
@@ -304,6 +295,16 @@ def run(config: ExperimentConfig):
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def write_flow_curves(path: str, flows) -> None:
+    """CSV of the flow curves, one flow per gap: gap_id,curve_id,side,xi,mu."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("gap_id,curve_id,side,xi,mu\n")
+        for gi, flow in enumerate(flows):
+            for ci, c in enumerate(flow):
+                for x, m in zip(c.xi, c.mu):
+                    fh.write(f"{gi},{ci},{c.side},{_fmt(x)},{_fmt(m)}\n")
 
 
 def persist(config: ExperimentConfig, reports, artifacts) -> None:
@@ -325,13 +326,8 @@ def persist(config: ExperimentConfig, reports, artifacts) -> None:
         for e, c in zip(energies, counts):
             fh.write(f"{_fmt(e)},{_fmt(c / (b - a))}\n")
 
-    with open(os.path.join(out, "flow_curves.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("gap_id,curve_id,side,xi,mu\n")
-        for gi, (gap, flow, _, _) in enumerate(artifacts):
-            for ci, c in enumerate(flow):
-                for x, m in zip(c.xi, c.mu):
-                    fh.write(f"{gi},{ci},{c.side},{_fmt(x)},{_fmt(m)}\n")
+    write_flow_curves(os.path.join(out, "flow_curves.csv"),
+                      [flow for _, flow, _, _ in artifacts])
 
     with open(os.path.join(out, "mu_tilde_phase.csv"), "w",
               encoding="utf-8") as fh:
@@ -381,10 +377,7 @@ def convergence_study(config: ExperimentConfig, parameter: str,
         # the truncation error decays like exp(-2 kappa L); small L keeps it
         # visible above the root-finding tolerance
         values = values or [10.0, 14.0, 18.0, 22.0, 26.0]
-        gaps = spectrum.detect_gaps(config.potential, config.e_min,
-                                    config.e_max,
-                                    resolution=config.resolution,
-                                    chain=config.x_chain)
+        gaps = detect_gaps(config)
         if not gaps:
             raise ValueError("no gap found for the L sweep")
         gap = gaps[0]
@@ -416,10 +409,7 @@ def convergence_study(config: ExperimentConfig, parameter: str,
             rows.append(row)
     elif parameter == "dxi":
         values = values or [0.4, 0.2, 0.1, 0.05]
-        gaps = spectrum.detect_gaps(config.potential, config.e_min,
-                                    config.e_max,
-                                    resolution=config.resolution,
-                                    chain=config.x_chain)
+        gaps = detect_gaps(config)
         if not gaps:
             raise ValueError("no gap found for the dxi sweep")
         gap = gaps[0]

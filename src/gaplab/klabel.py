@@ -319,14 +319,7 @@ def boundary_force(flow, gap: Gap,
     for (a, b) in chain.windows:
         drop = 0.0
         for c in right_curves:
-            cxi = list(c.xi)
-            cmu = list(c.mu)
-            if c.entry_xi is not None and c.entry_xi < cxi[0]:
-                cxi = [c.entry_xi] + cxi
-                cmu = [gap.e_upper] + cmu
-            if c.exit_xi is not None and c.exit_xi > cxi[-1]:
-                cxi = cxi + [c.exit_xi]
-                cmu = cmu + [gap.e_lower]
+            cxi, cmu = c.extended()
             lo = max(a, cxi[0])
             hi = min(b, cxi[-1])
             if hi <= lo:

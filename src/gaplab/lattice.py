@@ -8,8 +8,6 @@ the shooting code throughout the test suite.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 

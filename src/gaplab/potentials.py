@@ -6,8 +6,7 @@ Two kinds are supported: the zero potential and finite cosine sums
 
 which cover periodic potentials (single frequency or rationally related
 frequencies) and quasi-periodic ones (incommensurate frequencies).  Both are
-bounded and differentiable by construction, with |V| <= sum |A_j| and
-|V'| <= sum |A_j * 2*pi*f_j|.
+bounded by construction, with |V| <= sum |A_j|.
 """
 
 from __future__ import annotations
@@ -55,12 +54,6 @@ class PotentialSpec:
     def cosine_sum(cls, terms) -> "PotentialSpec":
         return cls(COSINE_SUM, tuple(terms))
 
-    @classmethod
-    def single_cosine(cls, amplitude: float, period: float = TWO_PI,
-                      phase: float = 0.0) -> "PotentialSpec":
-        """Convenience constructor for V(x) = amplitude*cos(2*pi*x/period + phase)."""
-        return cls.cosine_sum([(amplitude, 1.0 / period, phase)])
-
 
 def evaluate(spec: PotentialSpec, x, xi=0.0):
     """Evaluate V(x + xi).  Broadcasts over array-valued x and xi."""
@@ -75,30 +68,9 @@ def evaluate(spec: PotentialSpec, x, xi=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def derivative(spec: PotentialSpec, x, xi=0.0):
-    """Evaluate V'(x + xi)."""
-    if spec.kind == ZERO:
-        y = np.asarray(x) + np.asarray(xi)
-        out = np.zeros_like(y, dtype=float)
-        return float(out) if out.ndim == 0 else out
-    y = np.asarray(x, dtype=float) + np.asarray(xi, dtype=float)
-    out = np.zeros_like(y)
-    for a, f, p in spec.terms:
-        w = TWO_PI * f
-        out = out - a * w * np.sin(w * y + p)
-    return float(out) if out.ndim == 0 else out
-
-
 def amplitude_bound(spec: PotentialSpec) -> float:
     """sum |A_j|, a uniform bound on |V|."""
     return sum(abs(a) for a, _, _ in spec.terms) if spec.kind == COSINE_SUM else 0.0
-
-
-def slope_bound(spec: PotentialSpec) -> float:
-    """sum |A_j * 2*pi*f_j|, a uniform bound on |V'|."""
-    if spec.kind == ZERO:
-        return 0.0
-    return sum(abs(a * TWO_PI * f) for a, f, _ in spec.terms)
 
 
 def max_frequency(spec: PotentialSpec) -> float:

@@ -185,13 +185,33 @@ def test_mu_tilde_unit_modulus(mathieu, gap1):
 
 def test_phase_lift_continuity_across_exit(flow_gap1_period, gap1):
     # the lift stays continuous while the curve leaves through the lower
-    # edge: mu -> E0 contributes vanishing phase
+    # edge: mu -> E0 contributes vanishing phase.  The minimal-jump unwrap
+    # folds every step into [-pi, pi], so only a tighter bound can fail.
     xis = np.linspace(0.0, 2.0 * math.pi, 126)
-    phi = dirichlet.phase_lift(flow_gap1_period, gap1, xis, "right_only")
-    assert np.max(np.abs(np.diff(phi))) < math.pi
-    # one passage per period: net drop of one full turn
-    assert (phi[-1] - phi[0]) / (2.0 * math.pi) == pytest.approx(-1.0,
-                                                                 abs=0.05)
+    for variant in ("right_only", "two_sided"):
+        phi = dirichlet.phase_lift(flow_gap1_period, gap1, xis, variant)
+        assert np.max(np.abs(np.diff(phi))) < 0.5 * math.pi
+        # one passage per period: net drop of one full turn
+        assert (phi[-1] - phi[0]) / (2.0 * math.pi) == pytest.approx(
+            -1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("side, mu, event", [
+    (dirichlet.RIGHT, [0.85, 0.60, 0.45, 0.44], dirichlet.ENTERS_UPPER),
+    (dirichlet.LEFT, [0.15, 0.40, 0.55, 0.56], dirichlet.ENTERS_LOWER),
+])
+def test_curve_entry_tested_with_entry_slope(side, mu, event):
+    # steep first step, flat last step: the entry lies 0.14 inside the
+    # trimmed edge, outside the band of the flat exit slope (0.08) but
+    # inside the band of the entry slope
+    gap = Gap(0.0, 1.0)
+    xis = np.round(np.arange(0.0, 3.05, 0.1), 12)
+    raw = {"xi": [1.0, 1.1, 1.2, 1.3], "mu": mu}
+    events, entry_xi, exit_xi = dirichlet._curve_events(side, raw, xis, gap,
+                                                        0.1)
+    assert events == (event,)
+    assert entry_xi == pytest.approx(0.94)
+    assert exit_xi is None
 
 
 def test_beta_first_gap(mathieu, gap1, xi_chain, flow_gap1):
@@ -222,13 +242,6 @@ def test_beta_origin_shift_invariance(mathieu, gap1):
     r0 = dirichlet.beta(mathieu, gap1, chain, 0.1, 60.0)
     r1 = dirichlet.beta(mathieu, gap1, shifted, 0.1, 60.0)
     assert abs(r0.value - r1.value) <= r0.error_estimate + r1.error_estimate
-
-
-def test_beta_circle_samples_accessible(mathieu, gap1, xi_chain, flow_gap1):
-    res = dirichlet.beta(mathieu, gap1, xi_chain, flow=flow_gap1)
-    samples = res.circle_samples
-    assert len(samples) == len(res.xi_grid)
-    assert samples[0].xi == res.xi_grid[0]
 
 
 def test_max_dirichlet_count_first_gap(flow_gap1, xi_chain):

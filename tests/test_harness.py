@@ -20,6 +20,51 @@ def small_mathieu_config(tmp_path=None):
         out_dir=str(tmp_path) if tmp_path else None)
 
 
+SMALL_INI = """\
+[potential]
+kind = cosine_sum
+terms =
+    2.0 0.15915494309189535 0.0
+
+[scan]
+e_min = -2.0
+e_max = 1.0
+resolution = 0.05
+
+[chain_x]
+half_width = 25.0
+ratio = 1.6
+count = 4
+
+[chain_xi]
+half_width = 6.5
+ratio = 1.6
+count = 2
+
+[numerics]
+L = 30.0
+dxi = 0.1
+max_gaps = 1
+"""
+
+
+@pytest.fixture(scope="session")
+def smoke_run(tmp_path_factory):
+    """One harness run of the smoke config, shared by the report tests."""
+    out = tmp_path_factory.mktemp("smoke")
+    return harness.run(small_mathieu_config(out)), out
+
+
+def _labels(text):
+    """name -> value for every 'name = value' line of CLI output."""
+    out = {}
+    for line in text.splitlines():
+        name, sep, rest = line.partition("=")
+        if sep:
+            out[name.strip()] = float(rest.split()[0])
+    return out
+
+
 def test_parse_potential_arg():
     assert parse_potential_arg("zero").kind == "zero"
     spec = parse_potential_arg("2,0.5,0;1,0.25,1.5")
@@ -57,9 +102,8 @@ def test_zero_potential_report_is_empty():
     assert harness.run(cfg) == []
 
 
-def test_full_mathieu_report(tmp_path):
-    cfg = small_mathieu_config(tmp_path)
-    reports = harness.run(cfg)
+def test_full_mathieu_report(smoke_run):
+    reports, tmp_path = smoke_run
     assert len(reports) == 1
     rep = reports[0]
     d = rep.to_dict()
@@ -74,6 +118,10 @@ def test_full_mathieu_report(tmp_path):
     for key in ("ids", "alpha_lift", "beta_right", "pi_trace", "pi_curves",
                 "boundary_force"):
         assert abs(d[key]["value"] - target) < 0.05
+    # the two-sided circle map within its own error bar of the exact label
+    two_sided = d["beta_two_sided"]
+    assert abs(two_sided["value"] - target) <= two_sided["err"]
+    assert rep.all_pass
     # artifacts on disk
     for name in ("report.json", "ids_scan.csv", "flow_curves.csv",
                  "mu_tilde_phase.csv", "trace_integrand.csv"):
@@ -86,9 +134,8 @@ def test_full_mathieu_report(tmp_path):
         assert entry["pass"] == (entry["diff"] <= entry["tol"])
 
 
-def test_csv_artifacts_have_headers(tmp_path):
-    cfg = small_mathieu_config(tmp_path)
-    harness.run(cfg)
+def test_csv_artifacts_have_headers(smoke_run):
+    _, tmp_path = smoke_run
     with open(tmp_path / "flow_curves.csv", encoding="utf-8") as fh:
         assert fh.readline().strip() == "gap_id,curve_id,side,xi,mu"
     with open(tmp_path / "ids_scan.csv", encoding="utf-8") as fh:
@@ -157,3 +204,41 @@ def test_cli_report_exit_code_zero_potential(capsys, tmp_path):
     path = tmp_path / "zero.ini"
     save_config(cfg, str(path))
     assert main(["report", "--config", str(path)]) == 0
+
+
+def test_cli_flow_writes_float_csv(capsys, tmp_path):
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI, encoding="utf-8")
+    out = tmp_path / "flow"
+    assert main(["flow", "--config", str(ini), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("gap (-1.064903, 0.581355): 8 curves over xi in "
+                        "[-10.4, 10.4]")
+    spans = [line.split(" mu ")[0].split(": ", 1)[1] for line in lines[1:9]]
+    assert spans == [
+        "right n=23 xi=[-9.300, -7.100]", "right n=23 xi=[-3.100, -0.900]",
+        "right n=23 xi=[3.200, 5.400]", "right n=10 xi=[9.500, 10.400]",
+        "left n=10 xi=[-10.400, -9.500]", "left n=23 xi=[-5.400, -3.200]",
+        "left n=23 xi=[0.900, 3.100]", "left n=23 xi=[7.100, 9.300]"]
+    # the first right curve enters steeply through the upper edge
+    assert "events=('enters_from_upper_edge', 'exits_lower_edge')" in lines[1]
+    with open(out / "flow_curves.csv", encoding="utf-8") as fh:
+        assert fh.readline().strip() == "gap_id,curve_id,side,xi,mu"
+        rows = [line.strip().split(",") for line in fh]
+    assert len(rows) == 4 * 23 + 2 * 10 + 2 * 23
+    for gap_id, curve_id, side, xi, mu in rows:
+        assert gap_id == "0" and side in ("right", "left")
+        int(curve_id)
+        float(xi)
+        float(mu)
+
+
+def test_cli_klabel_labels(capsys, tmp_path):
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI, encoding="utf-8")
+    assert main(["klabel", "--config", str(ini)]) == 0
+    labels = _labels(capsys.readouterr().out)
+    assert labels["pi_trace"] == pytest.approx(0.15918246416551993, rel=1e-9)
+    assert labels["pi_curves"] == pytest.approx(0.1856459726286767, rel=1e-9)
+    assert labels["boundary_force"] == pytest.approx(0.1784488747344137,
+                                                     rel=1e-9)

@@ -41,33 +41,6 @@ def test_translate_identity_bit_for_bit(x, xi, terms):
 def test_amplitude_and_slope_bounds(x, xi, terms):
     spec = PotentialSpec.cosine_sum(terms)
     assert abs(P.evaluate(spec, x, xi)) <= P.amplitude_bound(spec) + 1e-12
-    assert abs(P.derivative(spec, x, xi)) <= P.slope_bound(spec) + 1e-12
-
-
-def test_zero_derivative():
-    assert P.derivative(PotentialSpec.zero(), 17.3, -2.0) == 0.0
-
-
-def test_cosine_derivative_vanishes_at_origin():
-    spec = PotentialSpec.cosine_sum([(1.0, 0.7, 0.0)])
-    assert P.derivative(spec, 0.0, 0.0) == 0.0
-
-
-def test_derivative_matches_central_difference():
-    spec = PotentialSpec.cosine_sum([(1.0, 0.5, 0.3)])
-    x, h = 0.9, 1e-5
-    fd = (P.evaluate(spec, x + h) - P.evaluate(spec, x - h)) / (2 * h)
-    exact = P.derivative(spec, x)
-    assert abs(fd - exact) / abs(exact) < 1e-8
-
-
-@given(x=finite)
-@settings(max_examples=80, deadline=None)
-def test_derivative_fd_oracle_property(x):
-    spec = PotentialSpec.cosine_sum([(1.5, 0.4, 0.2), (-0.7, 1.1, 1.0)])
-    h = 1e-5
-    fd = (P.evaluate(spec, x + h) - P.evaluate(spec, x - h)) / (2 * h)
-    assert abs(fd - P.derivative(spec, x)) < 1e-6
 
 
 def test_rationally_related_frequencies_are_periodic():
