@@ -264,19 +264,25 @@ def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
     ), flow, beta_r, pt
 
 
+def _scan(config: ExperimentConfig):
+    """detect_gaps(config), with the energies of the count scan on the
+    largest x window and their counts."""
+    gaps, energies, counts = spectrum._scan(
+        config.potential, config.e_min, config.e_max, config.resolution,
+        config.x_chain)
+    return [replace(g, margin_fraction=config.gap_edge_margin)
+            for g in gaps[: config.max_gaps]], energies, counts
+
+
 def detect_gaps(config: ExperimentConfig) -> list[Gap]:
     """The configured scan's gaps, at most max_gaps of them, each carrying
     the configured edge margin."""
-    gaps = spectrum.detect_gaps(config.potential, config.e_min, config.e_max,
-                                resolution=config.resolution,
-                                chain=config.x_chain)
-    return [replace(g, margin_fraction=config.gap_edge_margin)
-            for g in gaps[: config.max_gaps]]
+    return _scan(config)[0]
 
 
 def run(config: ExperimentConfig):
     """Full pipeline: detect gaps, label each, optionally persist artifacts."""
-    gaps = detect_gaps(config)
+    gaps, energies, counts = _scan(config)
     reports = []
     artifacts = []
     for gi, gap in enumerate(gaps):
@@ -289,7 +295,7 @@ def run(config: ExperimentConfig):
         reports.append(report)
         artifacts.append((gap, flow, beta_r, pt))
     if config.out_dir:
-        persist(config, reports, artifacts)
+        persist(config, reports, artifacts, energies, counts)
     return reports
 
 
@@ -307,20 +313,17 @@ def write_flow_curves(path: str, flows) -> None:
                     fh.write(f"{gi},{ci},{c.side},{_fmt(x)},{_fmt(m)}\n")
 
 
-def persist(config: ExperimentConfig, reports, artifacts) -> None:
-    """Write the JSON report and the CSV artifacts under out_dir."""
+def persist(config: ExperimentConfig, reports, artifacts, energies,
+            counts) -> None:
+    """Write the JSON report and the CSV artifacts under out_dir; energies
+    and counts are the gap scan's box counts on the largest x window."""
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)
         fh.write("\n")
 
-    # density-of-states scan over the detection grid on the largest window
     a, b = config.x_chain.largest
-    n_grid = max(3, int(math.ceil((config.e_max - config.e_min)
-                                  / config.resolution)) + 1)
-    energies = np.linspace(config.e_min, config.e_max, n_grid)
-    counts = spectrum.counts_grid(config.potential, a, b, 0.0, energies)
     with open(os.path.join(out, "ids_scan.csv"), "w", encoding="utf-8") as fh:
         fh.write("energy,ids\n")
         for e, c in zip(energies, counts):

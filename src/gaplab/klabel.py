@@ -7,6 +7,12 @@ phase proportional to its position in the gap.  The trace of
 (U* - 1) dU/dxi, averaged over the offset, is a winding density; it must
 reproduce both the circle-map formula evaluated on the flow curves and the
 mean boundary force per unit energy carried by the edge states.
+
+The offset derivative is exact rather than a difference quotient: only the
+diagonal V(x_i + xi) of the matrix moves with xi, so each edge eigenvalue
+moves by the Hellmann-Feynman slope sum_i v_i^2 V'(x_i + xi), and the
+moving projectors contribute nothing to the trace.  One eigensolve per
+offset node gives the whole integrand.
 """
 
 from __future__ import annotations
@@ -89,6 +95,24 @@ class EdgeUnitary:
     def rank(self) -> int:
         return len(self.eigenvalues)
 
+    def slopes(self, dpotential: np.ndarray) -> np.ndarray:
+        """Eigenvalue derivatives d lambda_j/dxi = sum_i v_ij^2 V'(x_i + xi).
+
+        dpotential is V'(x_i + xi) on the lattice, the diagonal of dT/dxi;
+        an in-gap eigenvalue of a Jacobi matrix is simple, so the
+        Hellmann-Feynman theorem applies.
+        """
+        return dpotential @ self.vectors ** 2
+
+    def trace_integrand(self, dpotential: np.ndarray) -> complex:
+        """Tr[(U* - 1) dU/dxi] = i (2 pi/|gap|) sum_j (1 - phase_j) slope_j.
+
+        The projector derivatives drop out, Tr[P_j dP_k] = 0, so only the
+        squared eigenvector amplitudes enter and no gauge can reach the value.
+        """
+        return complex(1j * TWO_PI / self.gap.width
+                       * np.sum((1.0 - self.phases) * self.slopes(dpotential)))
+
 
 def edge_projector(op: HalflineOperator, gap: Gap,
                    mass_threshold: float = 0.5) -> EdgeUnitary:
@@ -100,11 +124,8 @@ def edge_projector(op: HalflineOperator, gap: Gap,
     """
     w, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",
                             select_range=(gap.e_lower, gap.e_upper))
-    keep = []
     near = op.xs >= -op.L / 4.0
-    for i in range(len(w)):
-        if float(np.sum(v[near, i] ** 2)) >= mass_threshold:
-            keep.append(i)
+    keep = np.sum(v[near] ** 2, axis=0) >= mass_threshold
     w_k = w[keep]
     v_k = v[:, keep]
     phases = np.exp(2j * math.pi * (w_k - gap.e_lower) / gap.width)
@@ -121,90 +142,35 @@ class KLabelResult:
     integrand: np.ndarray = field(repr=False, compare=False, default=None)
 
 
-def _pair_trace(a_unit: EdgeUnitary, b_unit: EdgeUnitary) -> complex:
-    """Tr[(U_a* - 1)(U_b - 1)] via the retained rank-one structure."""
-    if a_unit.rank == 0 or b_unit.rank == 0:
-        return 0.0 + 0.0j
-    overlaps = np.abs(a_unit.vectors.T @ b_unit.vectors) ** 2
-    a = np.conj(a_unit.phases) - 1.0
-    b = b_unit.phases - 1.0
-    return complex(np.sum(a[:, None] * b[None, :] * overlaps))
-
-
-def _trace_integrand(center: EdgeUnitary, plus: EdgeUnitary,
-                     minus: EdgeUnitary, delta: float) -> complex:
-    """Tr[(U* - 1) dU/dxi] with the derivative by central difference.
-
-    (U* - 1) annihilates everything outside the retained subspace, and the
-    constant parts of U(xi +/- delta/2) cancel in the difference, so the
-    pair traces above are the whole story.
-    """
-    tp = _pair_trace(center, plus)
-    tm = _pair_trace(center, minus)
-    return (tp - tm) / delta
-
-
-def _gauge_scramble(unit: EdgeUnitary, rng: np.random.Generator) -> EdgeUnitary:
-    if unit.rank == 0:
-        return unit
-    perm = rng.permutation(unit.rank)
-    signs = rng.choice([-1.0, 1.0], size=unit.rank)
-    return EdgeUnitary(gap=unit.gap, eigenvalues=unit.eigenvalues[perm],
-                       vectors=unit.vectors[:, perm] * signs[None, :],
-                       phases=unit.phases[perm])
+def _edge_integrand(spec: PotentialSpec, gap: Gap, xi: float, L: float,
+                    h: float, mass_threshold: float = 0.5):
+    """The edge unitary at offset xi and its trace integrand, one eigensolve."""
+    op = build_halfline(spec, xi, L, h)
+    unit = edge_projector(op, gap, mass_threshold)
+    return unit, unit.trace_integrand(potentials.derivative(spec, op.xs, xi))
 
 
 def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
              L: float = 60.0, h: float = 0.01, *,
-             mass_threshold: float = 0.5, fd_delta: float | None = None,
-             gauge_rng: np.random.Generator | None = None) -> KLabelResult:
+             mass_threshold: float = 0.5) -> KLabelResult:
     """Trace-formula gap label on an offset window.
 
-    At each quadrature node the edge unitary is built at xi and xi +/-
-    fd_delta/2, the rank-resolved trace of (U* - 1) dU/dxi is formed, and the
-    window integral is normalized by -1/(2 pi i |window|).  The result must
-    be real; its imaginary residue enters the error estimate, and a residue
-    ten times larger than the rest of the estimate aborts.
+    At each quadrature node one eigensolve gives the edge unitary, and the
+    trace of (U* - 1) dU/dxi follows exactly from its eigenpairs (see
+    EdgeUnitary.trace_integrand); the window integral is normalized by
+    -1/(2 pi i |window|).  The result must be real; its imaginary residue
+    enters the error estimate, and a residue ten times larger than the rest
+    of the estimate aborts.
     """
     a, b = float(xi_window[0]), float(xi_window[1])
     if not b > a:
         raise ValueError("empty offset window")
     nodes = _xi_grid(a, b, dxi)
-
-    def unitary_at(x: float) -> EdgeUnitary:
-        op = build_halfline(spec, x, L, h)
-        unit = edge_projector(op, gap, mass_threshold)
-        if gauge_rng is not None:
-            unit = _gauge_scramble(unit, gauge_rng)
-        return unit
-
-    if fd_delta is None:
-        slope = None
-        probe_prev = None
-        for x in nodes[: max(8, len(nodes) // 8)]:
-            u = unitary_at(x)
-            if u.rank:
-                if probe_prev is not None:
-                    du = abs(float(u.eigenvalues[0] - probe_prev))
-                    if du > 0:
-                        slope = du / dxi
-                        break
-                probe_prev = float(u.eigenvalues[0])
-            else:
-                probe_prev = None
-        slope = slope or 1.0
-        fd_delta = 1e-3 * gap.width / slope
-
     vals = np.zeros(len(nodes), dtype=complex)
     counts = []
     for j, x in enumerate(nodes):
-        center = unitary_at(x)
-        counts.append(center.rank)
-        if center.rank == 0:
-            continue
-        plus = unitary_at(x + fd_delta / 2.0)
-        minus = unitary_at(x - fd_delta / 2.0)
-        vals[j] = _trace_integrand(center, plus, minus, fd_delta)
+        unit, vals[j] = _edge_integrand(spec, gap, x, L, h, mass_threshold)
+        counts.append(unit.rank)
 
     integral = complex(np.trapezoid(vals, nodes))
     result = -integral / (2j * math.pi * (b - a))
@@ -230,10 +196,10 @@ def single_curve_reduction_residual(spec: PotentialSpec, gap: Gap, curve,
                                     fd_delta: float = 1e-3) -> float:
     """Single-curve consistency of the operator trace with the curve formula.
 
-    With one edge state, the integrand must collapse to
+    With one edge state, the operator's exact integrand must collapse to
     (exp(-i phi) - 1) d/dxi exp(i phi) with phi = 2 pi (mu(xi) - E0)/|gap|,
-    evaluated here from the shooting curve.  Returns the absolute difference
-    at one interior curve sample.
+    evaluated here from the shooting curve by a central difference.  Returns
+    the absolute difference at one interior curve sample.
     """
     xi0 = float(curve.xi[index])
     mu_guess = float(curve.mu[index])
@@ -250,11 +216,8 @@ def single_curve_reduction_residual(spec: PotentialSpec, gap: Gap, curve,
     expected = ((np.conj(u_phase(mu0)) - 1.0)
                 * (u_phase(mu_p) - u_phase(mu_m)) / fd_delta)
 
-    center = edge_projector(build_halfline(spec, xi0, L, h), gap)
-    plus = edge_projector(build_halfline(spec, xi0 + fd_delta / 2.0, L, h), gap)
-    minus = edge_projector(build_halfline(spec, xi0 - fd_delta / 2.0, L, h), gap)
-    actual = _trace_integrand(center, plus, minus, fd_delta)
-    return abs(complex(actual) - complex(expected))
+    _, actual = _edge_integrand(spec, gap, xi0, L, h)
+    return abs(actual - complex(expected))
 
 
 def _window_means_to_result(chain: WindowChain, window_values,

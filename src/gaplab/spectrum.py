@@ -181,6 +181,15 @@ def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
     on the count jump.  Runs touching the scan boundary are dropped since
     only one edge is visible.
     """
+    return _scan(spec, e_min, e_max, resolution, chain, xi, rtol, min_cells,
+                 significance)[0]
+
+
+def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
+          chain: WindowChain | None, xi: float = 0.0, rtol: float = 1e-6,
+          min_cells: int = 2, significance: float = 8.0):
+    """detect_gaps, returning also its scan energies and their counts on
+    the largest window."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     chain = chain or WindowChain.geometric()
@@ -237,4 +246,4 @@ def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
         confirmed = int(c2[-1] - c2[0]) <= PLATEAU_STATES
         gaps.append(Gap(float(lower), float(upper),
                         "confirmed" if confirmed else "heuristic"))
-    return gaps
+    return gaps, energies, c1

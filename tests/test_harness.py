@@ -238,7 +238,7 @@ def test_cli_klabel_labels(capsys, tmp_path):
     ini.write_text(SMALL_INI, encoding="utf-8")
     assert main(["klabel", "--config", str(ini)]) == 0
     labels = _labels(capsys.readouterr().out)
-    assert labels["pi_trace"] == pytest.approx(0.15918246416551993, rel=1e-9)
+    assert labels["pi_trace"] == pytest.approx(0.15918261628075972, rel=1e-9)
     assert labels["pi_curves"] == pytest.approx(0.1856459726286767, rel=1e-9)
     assert labels["boundary_force"] == pytest.approx(0.1784488747344137,
                                                      rel=1e-9)

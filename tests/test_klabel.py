@@ -8,6 +8,8 @@ from gaplab import dirichlet, klabel, potentials
 from gaplab.potentials import PotentialSpec, WindowChain
 from gaplab.spectrum import Gap
 
+from conftest import mathieu_gap_edges
+
 ZERO = PotentialSpec.zero()
 
 
@@ -90,12 +92,55 @@ def test_pi_trace_first_gap(mathieu, gap1):
 
 
 def test_pi_trace_gauge_robustness(mathieu, gap1):
-    base = klabel.pi_trace(mathieu, gap1, (0.0, 2.0 * math.pi), 0.1)
+    # mass_threshold 0 also keeps the truncation state near -L: rank 2
+    xi = 4.5
+    op = klabel.build_halfline(mathieu, xi, 60.0, 0.01)
+    unit = klabel.edge_projector(op, gap1, mass_threshold=0.0)
+    assert unit.rank == 2
+    dv = potentials.derivative(mathieu, op.xs, xi)
+    base = unit.trace_integrand(dv)
+    assert base != 0.0
     rng = np.random.default_rng(31415)
-    scrambled = klabel.pi_trace(mathieu, gap1, (0.0, 2.0 * math.pi), 0.1,
-                                gauge_rng=rng)
-    tol = base.error_estimate + scrambled.error_estimate + 1e-9
-    assert abs(base.value - scrambled.value) <= tol
+    for _ in range(10):
+        perm = rng.permutation(unit.rank)
+        signs = rng.choice([-1.0, 1.0], size=unit.rank)
+        scrambled = klabel.EdgeUnitary(
+            gap=gap1, eigenvalues=unit.eigenvalues[perm],
+            vectors=unit.vectors[:, perm] * signs[None, :],
+            phases=unit.phases[perm])
+        assert scrambled.trace_integrand(dv) == base
+
+
+def test_eigenvalue_slope_matches_central_difference(mathieu, gap1):
+    xi, d = 3.93, 1e-5
+    op = klabel.build_halfline(mathieu, xi, 60.0, 0.01)
+    unit = klabel.edge_projector(op, gap1)
+    assert unit.rank == 1
+    slope = unit.slopes(potentials.derivative(mathieu, op.xs, xi))
+    plus, minus = (klabel.edge_projector(
+        klabel.build_halfline(mathieu, xi + s, 60.0, 0.01), gap1)
+        for s in (d, -d))
+    fd = (plus.eigenvalues - minus.eigenvalues) / (2.0 * d)
+    assert abs(float(slope[0])) > 0.1
+    assert float(slope[0]) == pytest.approx(float(fd[0]), rel=1e-6)
+
+
+def _shifted_mathieu(n: int, phase: float):
+    spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), phase)])
+    return spec, Gap(*mathieu_gap_edges(n))
+
+
+def test_pi_trace_within_error_bar_at_flat_phase():
+    # the edge state is nearly flat at the start of this window
+    spec, gap = _shifted_mathieu(1, 2.977)
+    res = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
+    assert abs(res.value - 1.0 / (2.0 * math.pi)) <= res.error_estimate
+
+
+def test_pi_trace_second_gap_short_halfline():
+    spec, gap = _shifted_mathieu(2, 0.393)
+    res = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.1, 30.0, 0.01)
+    assert abs(res.value - 1.0 / math.pi) <= res.error_estimate
 
 
 def test_pi_trace_mass_threshold_sweep(mathieu, gap1):
