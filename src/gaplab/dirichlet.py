@@ -1,18 +1,23 @@
 """Dirichlet values in a spectral gap, their flow under translation, and the
 rotation number of the associated circle map.
 
-At a gap energy the half-line operator on (-infinity, 0] has an eigenvalue mu
-exactly when the left-decaying solution vanishes at the origin, i.e. when the
-boundary phase theta(0; E, xi) hits a multiple of pi.  Since theta(0; .) is
-strictly monotone in E, enumerating the multiples of pi between the phases at
-the two (margin-trimmed) gap edges finds every candidate, and bisection pins
-each one.
+At a gap energy E the half-line operator on (-infinity, xi] has the
+eigenvalue E exactly when the left-decaying solution of the untranslated
+operator vanishes at x = xi (the zero-set identity of Johnson and Moser), so
+one forward pass per energy gives the boundary phase at every offset of a
+window at once (left values: the mirror pass, backward).  `_window_scan`
+runs one such pass for each Chebyshev-Lobatto energy of the margin-trimmed
+gap and for the two gap edges; since the phase is strictly monotone in E,
+the multiples of pi it passes between adjacent energies count the values in
+that slab exactly, a Chebyshev interpolant in E estimates each one, and a
+bracketed search polishes it.
 
-Truncating (-infinity, 0] to [-L, 0] adds one artifact per gap: the seeded
-left end behaves like a box end and carries its own in-gap bound state, which
-shows up as a sharp extra pi-step of theta(0; E) at a truncation-dependent
-energy.  Candidates are therefore re-checked at 1.5 L; genuine roots keep a
-tiny boundary sine there while artifacts move away and fail loudly.
+The offsets are cut into blocks of at most L / 2.  A block's pass starts L
+before its first offset, and its seeded end carries a bound state of its
+own: one truncation artifact, at one energy for the whole block, which
+every landing point of the pass sees as the same extra pi-step.  It is
+removed by subtracting pi above that step.  Single-offset queries run the
+same scan on a one-offset window, with the truncation [xi - L, xi].
 
 Curves mu(xi) are assembled from the per-offset root sets by nearest-value
 continuation (right curves fall, left curves rise, and curves of one family
@@ -45,6 +50,16 @@ LOWER = "lower"
 
 STABILITY_FACTOR = 1.5
 STABILITY_RESIDUAL = 1e-2
+
+N_ENERGIES = 33  # Chebyshev-Lobatto energies of a window scan
+BLOCK = 0.5  # span of a window block, in units of L
+POLISH_WIDTH = 1e-3  # half-width of a polishing bracket, in gap widths
+# Landing points past the last offset of a block, in units of L.  They keep
+# the truncation artifact's pi-step the only one that every landing point
+# takes at one energy, even in a one-offset block; irrational fractions keep
+# a period of V from mapping them onto one another.
+PROBES = ((math.sqrt(5.0) - 1.0) / 8.0, (math.sqrt(2.0) - 1.0) / 2.0,
+          (math.sqrt(3.0) - 1.0) / 3.0)
 
 
 class FlowResolutionError(RuntimeError):
@@ -136,81 +151,207 @@ def _phase_order(lo, hi, side):
     return (lo, hi) if side == RIGHT else (hi, lo)
 
 
-def _root_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray, L: float,
-               side: str, *, mu_tol: float, rtol: float,
-               resid_tol: float = STABILITY_RESIDUAL,
-               _depth: int = 0) -> list[np.ndarray]:
-    """Genuine Dirichlet values in the trimmed gap for every offset.
+def _lobatto(lo: float, hi: float) -> np.ndarray:
+    """The N_ENERGIES Chebyshev-Lobatto points of [lo, hi], ascending."""
+    t = np.cos(np.pi * np.arange(N_ENERGIES) / (N_ENERGIES - 1))
+    return 0.5 * (lo + hi) - 0.5 * (hi - lo) * t
 
-    Bracket with the boundary phases at the trimmed edges, bisect every
-    candidate multiple of pi, then drop truncation artifacts by the 1.5 L
-    residual test.  At the isolated offsets where the artifact branch
-    crosses a genuine curve, the ghost root sits so close to the true
-    eigenvalue that it passes the residual test too; such near-duplicate
-    pairs are re-resolved at doubled truncation, where the artifact lands
-    elsewhere.  Returns one ascending array per offset.
+
+def _interpolant(nodes: np.ndarray, values: np.ndarray, kept: np.ndarray):
+    """Barycentric interpolant through the kept nodes of each row of values;
+    it maps an array of energies, one per row, to values."""
+    t = (2.0 * nodes - nodes[0] - nodes[-1]) / (nodes[-1] - nodes[0])
+    gaps = t[:, None] - t[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    w = np.where(kept, 1.0 / np.prod(np.where(kept[:, None, :], gaps, 1.0),
+                                     axis=-1), 0.0)
+    w /= np.max(np.abs(w), axis=-1, keepdims=True)
+    values = np.where(kept, values, 0.0)
+
+    def p(e):
+        d = np.asarray(e, dtype=float)[..., None] - nodes
+        d[d == 0.0] = 1e-300
+        q = w / d
+        return np.sum(q * values, axis=-1) / np.sum(q, axis=-1)
+
+    return p
+
+
+@dataclass(frozen=True)
+class _Window:
+    """One side's window pass over a uniform offset grid (see _window_scan).
+
+    The grid is cut into blocks of m offsets; block b starts its pass at
+    anchors[b] - L (RIGHT; LEFT mirrored) and lands on `landing`, relative
+    to its anchor: its m offsets, then the PROBES.  phase[j, i, b] is the
+    boundary phase at landing point j of block b and energy i, signed to
+    increase with E; the pi-step of block b's truncation artifact lies in
+    the slabs artifact[b] - 1 to artifact[b] + 1, or artifact[b] is -1 when
+    the block shows none (see _artifact_slab).
     """
-    lo, hi = gap.trimmed()
+
+    index: np.ndarray     # index[b * m + j]: the offset at landing point j
+    anchors: np.ndarray
+    landing: np.ndarray
+    energies: np.ndarray
+    phase: np.ndarray
+    artifact: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.landing) - len(PROBES)
+
+
+def _window_pass(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
+                 L: float, side: str, rtol: float) -> _Window:
+    """One pass per energy over every block of the offset grid, all in one
+    theta_grid call.  The energies are the Chebyshev-Lobatto points of the
+    trimmed gap between the two gap edges, so that an artifact next to a
+    trimmed edge still shows its whole step."""
     offsets = np.asarray(offsets, dtype=float)
-    n = offsets.shape[0]
-    below, above = _phase_order(lo, hi, side)
-    edges = np.array([[below], [above]])
-    t_lo, t_hi = _scan_theta_at_zero(spec, edges, offsets[None, :], L, side,
-                                     rtol)
-    k_min = np.floor(t_lo / math.pi + 1e-12).astype(int) + 1
-    k_max = np.floor(t_hi / math.pi + 1e-12).astype(int)
+    n = len(offsets)
+    s = 1.0 if side == RIGHT else -1.0
+    index = np.arange(n) if side == RIGHT else np.arange(n)[::-1]
+    dx = abs(float(offsets[-1] - offsets[0])) / max(n - 1, 1)
+    m = n if n == 1 else min(n, int(BLOCK * L / dx) + 1)
+    anchors = offsets[index[::m]]
+    local = s * dx * np.arange(m)
+    landing = np.concatenate([local, local[-1] + s * L * np.array(PROBES)])
+    energies = np.concatenate([[gap.e_lower], _lobatto(*gap.trimmed()),
+                               [gap.e_upper]])[:, None]
+    x0, seeds = prufer.decaying_start(spec, energies, anchors, L, side)
+    phase = s * prufer.theta_grid(spec, energies, anchors, x0, landing, seeds,
+                                  rtol=rtol, atol=rtol * 1e-2)
+    return _Window(index=index, anchors=anchors,
+                   landing=landing, energies=energies[:, 0], phase=phase,
+                   artifact=_artifact_slab(np.diff(phase, axis=1)))
 
-    idx = []
-    targets = []
-    for j in range(n):
-        for k in range(k_min[j], k_max[j] + 1):
-            idx.append(j)
-            targets.append(k * math.pi)
-    if not idx:
+
+def _artifact_slab(rise: np.ndarray) -> np.ndarray:
+    """The slab of each block's truncation artifact, or -1.
+
+    rise[j, i, b] is the phase rise of landing point j of block b across
+    slab i.  The artifact raises the phase of every landing point of a block
+    by pi at one energy, sharply except near a gap edge, where the step
+    spreads into the neighbouring slabs, and at a node it splits between
+    two.  So its slab is the one around which the rise over three slabs is
+    largest at the landing point where it is least, taken to be the artifact
+    when that least rise is at least pi / 2.  A Dirichlet curve would need a
+    value within those three slabs at every landing point, the PROBES too,
+    to pass for it.
+    """
+    padded = np.pad(rise, ((0, 0), (1, 1), (0, 0)))
+    least = np.min(padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:], axis=0)
+    found = least >= 0.5 * math.pi                     # (slab, block)
+    runs = np.sum(np.diff(found.astype(int), axis=0) == 1, axis=0) + found[0]
+    if np.any(runs > 1):
+        raise FlowResolutionError(
+            "truncation artifact not told apart from a Dirichlet curve")
+    return np.where(np.any(found, axis=0), np.argmax(least, axis=0), -1)
+
+
+def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
+                 L: float, side: str, *, mu_tol: float,
+                 rtol: float) -> list[np.ndarray]:
+    """Dirichlet values in the trimmed gap at every offset of a uniform grid.
+
+    The grid is cut into blocks of at most BLOCK * L, so no value is
+    computed on more than (1 + BLOCK) L of half-line, and one call runs the
+    passes of all blocks (_window_pass).  The artifact of a block is the
+    pi-step that every landing point of the block takes at one energy, the
+    offsets and the PROBES alike (_artifact_slab); subtracting pi above it
+    leaves the genuine crossings.  Each is estimated from the Chebyshev
+    interpolant of the corrected phase and polished on its block's own
+    pass, to mu_tol.  Returns one ascending array per offset.
+    """
+    w = _window_pass(spec, gap, offsets, L, side, rtol)
+    n, m, energies = len(offsets), w.m, w.energies
+    # remove the artifact: its step lies between the nodes a and t of its
+    # three slabs; pi comes off every node from t up, the nodes between are
+    # left out, and the slab from a to t counts as one.  The step's tails
+    # can leave a dip, which the running maximum of the multiples passed
+    # does not count twice.
+    nodes = np.arange(len(energies))[:, None]
+    found = w.artifact >= 0
+    a = np.where(found, np.maximum(w.artifact - 1, 0), len(energies))
+    t = np.where(found, np.minimum(w.artifact + 2, len(energies) - 1),
+                 len(energies))
+    counted = (nodes <= a) | (nodes >= t)              # (node, block)
+    kept = counted.copy()
+    kept[[0, -1]] = False  # the gap edges bound the artifact only
+    corrected = w.phase[:m] - math.pi * (nodes >= t)
+    level = np.where(counted, corrected, -np.inf)
+    kc = np.floor(np.maximum.accumulate(level, axis=1) / math.pi + 1e-12)
+
+    # one entry per genuine crossing: landing point j of block b, between
+    # the nodes lo and hi
+    j, i, b = np.nonzero(np.diff(kc, axis=1) >= 1)
+    merged = (i >= a[b]) & (i < t[b])
+    lo_node = np.where(merged, a[b], i)
+    hi_node = np.where(merged, t[b], i + 1)
+    keep = ((b * m + j < n) & (hi_node > 1)
+            & (lo_node < len(energies) - 2))           # not in a margin
+    j, i, b, lo_node, hi_node = (v[keep] for v in (j, i, b, lo_node, hi_node))
+    if len(j) == 0:
         return [np.empty(0) for _ in range(n)]
-    idx = np.array(idx)
-    targets = np.array(targets)
-    xi_c = offsets[idx]
-    roots = prufer.bisect(
-        lambda e: _scan_theta_at_zero(spec, e, xi_c, L, side, rtol),
-        below, above, targets, mu_tol)
+    estimate = prufer.bisect(
+        _interpolant(energies, corrected[j, :, b], kept[:, b].T),
+        energies[lo_node], energies[hi_node], (kc[j, i, b] + 1.0) * math.pi,
+        1e-3 * mu_tol)
+    s = 1.0 if side == RIGHT else -1.0
 
-    t_check = _scan_theta_at_zero(spec, roots, xi_c, STABILITY_FACTOR * L,
-                                  side, rtol)
-    genuine = np.abs(np.sin(t_check)) < resid_tol
-    # second chance at 1.5^2 L: a genuine root can fail the first check when
-    # the checking problem's own truncation artifact happens to sit on it
-    retry = ~genuine
-    if np.any(retry):
-        t2 = _scan_theta_at_zero(spec, roots[retry], xi_c[retry],
-                                 STABILITY_FACTOR ** 2 * L, side, rtol)
-        genuine[retry] = np.abs(np.sin(t2)) < resid_tol
+    def phase_of(c):
+        """The phase of crossings c on their own passes, as a function of E."""
+        def f(e):
+            x0, seeds = prufer.decaying_start(spec, e, w.anchors[b[c]], L,
+                                              side)
+            th = prufer.theta_grid(spec, e, w.anchors[b[c]], x0,
+                                   w.landing[:np.max(j[c]) + 1], seeds,
+                                   rtol=rtol, atol=rtol * 1e-2)
+            at = np.broadcast_to(j[c], np.shape(e))[..., None]
+            return s * np.take_along_axis(np.moveaxis(th, 0, -1), at,
+                                          -1)[..., 0]
+        return f
 
+    lo, hi = gap.trimmed()
+    roots = _polish(phase_of, estimate, energies[lo_node], energies[hi_node],
+                    w.phase[j, lo_node, b], w.phase[j, hi_node, b],
+                    POLISH_WIDTH * (hi - lo), mu_tol)
     out = [[] for _ in range(n)]
-    for j, mu, ok in zip(idx, roots, genuine):
-        if ok:
-            out[j].append(float(mu))
-    result = [np.array(sorted(v)) for v in out]
+    for idx, mu in zip(w.index[b * m + j], roots):
+        if lo <= mu <= hi:
+            out[idx].append(float(mu))
+    return [np.array(sorted(v)) for v in out]
 
-    dup_tol = 0.03 * (hi - lo)
-    suspect = [j for j, v in enumerate(result)
-               if len(v) >= 2 and np.min(np.diff(v)) < dup_tol]
-    if suspect and _depth < 2:
-        redo = _root_scan(spec, gap, offsets[suspect], 2.0 * L, side,
-                          mu_tol=mu_tol, rtol=rtol, resid_tol=resid_tol,
-                          _depth=_depth + 1)
-        for j, v in zip(suspect, redo):
-            result[j] = v
-    elif suspect:
-        # out of escalations: keep the better-verified member of each pair
-        for j in suspect:
-            v = result[j]
-            kept = [v[0]]
-            for x in v[1:]:
-                if x - kept[-1] >= dup_tol:
-                    kept.append(x)
-            result[j] = np.array(kept)
-    return result
+
+def _polish(phase_of, estimate, e_lo, e_hi, p_lo, p_hi, delta, tol):
+    """Polish crossings of multiples of pi by an increasing phase.
+
+    phase_of(c) is the phase of crossings c as a function of their
+    energies; [e_lo, e_hi] is each estimate's slab and p_lo, p_hi the phase
+    at its ends.  One pass takes the phase delta either side of every
+    estimate: where the two straddle one multiple of pi, that bracket is
+    searched; elsewhere the slab is, if it holds one crossing, and the
+    estimate is kept if not (the slab also holds the truncation artifact).
+    """
+    lo = np.maximum(e_lo, estimate - delta)
+    hi = np.minimum(e_hi, estimate + delta)
+    every = np.arange(len(estimate))
+    t_lo, t_hi = phase_of(every)(np.stack([lo, hi]))
+    k_lo = np.floor(t_lo / math.pi + 1e-12)
+    k_hi = np.floor(t_hi / math.pi + 1e-12)
+    tight = k_hi - k_lo == 1
+    k_slab = np.floor(p_hi / math.pi + 1e-12)
+    slab = ~tight & (k_slab - np.floor(p_lo / math.pi + 1e-12) == 1)
+    lo, t_lo = np.where(slab, e_lo, lo), np.where(slab, p_lo, t_lo)
+    hi, t_hi = np.where(slab, e_hi, hi), np.where(slab, p_hi, t_hi)
+    k_hi = np.where(slab, k_slab, k_hi)
+    c = np.nonzero(tight | slab)[0]
+    roots = estimate.copy()
+    if len(c):
+        roots[c] = prufer.bisect(phase_of(c), lo[c], hi[c], k_hi[c] * math.pi,
+                                 tol, ends=(t_lo[c], t_hi[c]))
+    return roots
 
 
 def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
@@ -221,8 +362,8 @@ def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
     Single-offset queries run at a tight integrator tolerance so a found
     root reproduces |sin theta(0)| below 1e-10 on recheck.
     """
-    roots = _root_scan(spec, gap, np.array([float(xi)]), L, RIGHT,
-                       mu_tol=tol, rtol=rtol)
+    roots = _window_scan(spec, gap, np.array([float(xi)]), L, RIGHT,
+                         mu_tol=tol, rtol=rtol)
     return roots[0].tolist()
 
 
@@ -230,8 +371,8 @@ def left_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
                           L: float = 60.0, *, tol: float = 1e-10,
                           rtol: float = 1e-12) -> list[float]:
     """Mirror image: eigenvalues of the right half-line operator in the gap."""
-    roots = _root_scan(spec, gap, np.array([float(xi)]), L, LEFT,
-                       mu_tol=tol, rtol=rtol)
+    roots = _window_scan(spec, gap, np.array([float(xi)]), L, LEFT,
+                         mu_tol=tol, rtol=rtol)
     return roots[0].tolist()
 
 
@@ -356,8 +497,8 @@ def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
         xis = _xi_grid(xi_from, xi_to, step)
         curves: list[DirichletCurve] = []
         for side in sides:
-            roots = _root_scan(spec, gap, xis, L, side,
-                               mu_tol=mu_tol, rtol=rtol)
+            roots = _window_scan(spec, gap, xis, L, side,
+                                 mu_tol=mu_tol, rtol=rtol)
             raw_curves, ambiguous = _assemble_side(side, xis, roots, gap, step)
             raw_curves = [raw for raw in raw_curves if len(raw["mu"]) >= 2]
             if ambiguous or any(

@@ -354,7 +354,9 @@ def convergence_study(config: ExperimentConfig, parameter: str,
     """Observed convergence under refinement of one numerical control.
 
     h: lowest free-box eigenvalue, expected second order.
-    L: a mid-gap Dirichlet value, expected exponential stabilization.
+    L: a mid-gap Dirichlet value, expected exponential stabilization (a
+    ratio of successive differences is reported while the earlier one is
+    above the root tolerance; below it both are root-finding noise).
     dxi: the Dirichlet rotation number of the first gap.
     chain: free-potential rotation number at E = 1, error shrinking like
     one over the window length.
@@ -397,15 +399,16 @@ def convergence_study(config: ExperimentConfig, parameter: str,
             raise ValueError("no mid-gap Dirichlet value found for L sweep")
         prev = None
         prev_diff = None
+        tol = 1e-10
         for L in values:
             vals = dirichlet.right_dirichlet_values(config.potential,
-                                                    xi_star, gap, L)
+                                                    xi_star, gap, L, tol=tol)
             mu = min(vals, key=lambda v: abs(v - gap.mid))
             row = {"L": L, "mu": float(mu)}
             if prev is not None:
                 diff = abs(mu - prev)
                 row["diff"] = diff
-                if prev_diff is not None and prev_diff > 0:
+                if prev_diff is not None and prev_diff > tol:
                     row["ratio"] = diff / prev_diff
                 prev_diff = diff
             prev = mu

@@ -137,6 +137,37 @@ def scalar_evaluator(spec: PotentialSpec, xi: float = 0.0):
     return many_terms
 
 
+def offset_evaluator(spec: PotentialSpec, xi):
+    """Closure computing V(x + xi) for a scalar x over an array of offsets.
+
+    By angle addition, a cos(w (x + xi) + p) = A cos(w x) - B sin(w x) with
+    A = a cos(w xi + p) and B = a sin(w xi + p) per offset, computed once
+    here; each call then costs scalar trigonometry and array multiply-adds.
+    The result has the shape of xi.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if spec.kind == ZERO:
+        zeros = np.zeros(xi.shape)
+        return lambda x: zeros
+    factors = [(TWO_PI * f, a * np.cos(TWO_PI * f * xi + p),
+                a * np.sin(TWO_PI * f * xi + p)) for a, f, p in spec.terms]
+    if len(factors) == 1:
+        (w0, A0, B0), = factors
+
+        def one_term(x, _cos=math.cos, _sin=math.sin):
+            return A0 * _cos(w0 * x) - B0 * _sin(w0 * x)
+
+        return one_term
+
+    def many_terms(x, _cos=math.cos, _sin=math.sin):
+        total = 0.0
+        for w, A, B in factors:
+            total = total + (A * _cos(w * x) - B * _sin(w * x))
+        return total
+
+    return many_terms
+
+
 @dataclass(frozen=True)
 class WindowChain:
     """Increasing chain of compact intervals used for window means.

@@ -15,9 +15,12 @@ One adaptive Cash-Karp 5(4) loop advances the phase.  It has two front
 ends: `integrate` runs it on plain floats for a single trajectory, carrying
 log r and storing the accepted nodes for interpolation; `theta_grid` runs it
 on numpy arrays for a whole grid of (E, xi) components with shared adaptive
-steps, falling back to plain floats when the grid has one component.  Every
-question of the form "where does theta cross a target" is answered by the
-one vectorized bisection `bisect`.
+steps, falling back to plain floats when the grid has one component.  A
+pass can land on a monotone array of points on its way, returning theta at
+each, and carries theta modulo pi between them, so the error control does
+not loosen along a long pass.  Every question of the form "where does theta
+cross a target" is answered by the one vectorized bracketed search
+`bisect` (ITP: interpolation, truncation, projection).
 """
 
 from __future__ import annotations
@@ -129,8 +132,16 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
     step, which keeps the lift continuous.  record, when given, receives
     (x, theta, carried, theta') at the start and at every accepted node.
     Returns theta and carried at x_end.
+
+    x_end may instead be a 1-d array of landing points, strictly monotone in
+    the direction of integration: the steps then land exactly on each of
+    them, and the first return value stacks theta at every landing point
+    along a new leading axis.  Between landing points theta is carried
+    modulo pi, with the multiples of pi kept aside, so that an error norm
+    relative to |theta| does not loosen as the lift grows along a long pass.
     """
-    span = x_end - x_start
+    ends = np.ravel(x_end)
+    span = ends[-1] - x_start
     if span == 0:
         raise ValueError("x_start and x_end must differ")
     sgn = 1.0 if span > 0 else -1.0
@@ -142,15 +153,18 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
     if record is not None:
         record((x, th, cr, k1t))
     h = sgn * min(0.02, max_step)
-    done = False
-    while not done:
+    landed = []
+    lift = 0.0  # the multiples of pi set aside
+    target = ends[0]
+    while True:
         if abs(h) > max_step:
             h = sgn * max_step
         if abs(h) < h_min:
             raise StiffnessError(f"step underflow at x={x:.6g}{context}")
-        last = (x + h - x_end) * sgn >= 0.0
+        h_free = h
+        last = (x + h - target) * sgn >= 0.0
         if last:
-            h = x_end - x
+            h = target - x
         k2t, k2c = rhs(x + h * _C2, th + h * _A21 * k1t)
         k3t, k3c = rhs(x + h * _C3, th + h * (_A31 * k1t + _A32 * k2t))
         k4t, k4c = rhs(x + h * _C4, th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t))
@@ -165,18 +179,31 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
             cr_new = cr + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B6 * k6c)
             err_c = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c)
         err, dth_step = norm(th, th_new, err_t, cr, cr_new, err_c)
-        if err <= 1.0 and dth_step < _MAX_DTHETA:
-            x = x_end if last else x + h
-            th, cr = th_new, cr_new
-            k1t, k1c = rhs(x, th)
-            if record is not None:
-                record((x, th, cr, k1t))
-            done = last
         fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if dth_step >= _MAX_DTHETA:
             fac = min(fac, 0.5)
+        if err <= 1.0 and dth_step < _MAX_DTHETA:
+            x = target if last else x + h
+            th, cr = th_new, cr_new
+            if last:
+                landed.append(th + lift)
+                if len(landed) < len(ends):
+                    target = ends[len(landed)]
+                    folds = np.floor(th / math.pi)
+                    lift = lift + folds * math.pi
+                    th = th - folds * math.pi
+                    # the landing step was cut short; go on with the step
+                    # proposed before the cut
+                    h, fac = h_free, 1.0
+            k1t, k1c = rhs(x, th)
+            if record is not None:
+                record((x, th, cr, k1t))
+            if len(landed) == len(ends):
+                break
         h *= fac
-    return th, cr
+    if np.ndim(x_end) == 0:
+        return landed[0], cr
+    return np.array(landed), cr
 
 
 def _float_norm(rtol, atol_theta, atol_logr):
@@ -214,7 +241,7 @@ def integrate(spec: PotentialSpec, energy: float, offset: float,
 
 
 def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
-               x_end: float, theta_start, *,
+               x_end, theta_start, *,
                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                max_step: float = 2.0) -> np.ndarray:
     """Endpoint theta lift for a whole grid of (E, xi) components at once.
@@ -222,60 +249,97 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     energies, offsets and theta_start broadcast against each other; all
     components share the adaptive steps (the controller uses the worst
     component) and only theta enters the error control.  Returns
-    theta(x_end) with the broadcast shape.  A grid of one component runs
+    theta(x_end) with the broadcast shape.  x_end may also be a 1-d array of
+    landing points, strictly monotone in the direction of integration; the
+    result then has a leading axis over them.  A grid of one component runs
     integrate's plain-float path instead, with log r carried and controlled
     as there (atol for both): about ten times faster than the numpy stepper
     at width one, and bit-identical to integrate's endpoint.
+
+    The numpy right-hand side is theta' = 1 + (E - 1 - V) sin^2(theta), with
+    V(x + xi) by angle addition (potentials.offset_evaluator), so a stage
+    costs one array sine and scalar trigonometry of x.
     """
     E = np.asarray(energies, dtype=float)
     xi = np.asarray(offsets, dtype=float)
     th0 = np.asarray(theta_start, dtype=float)
     shape = np.broadcast_shapes(E.shape, xi.shape, th0.shape)
+    out_shape = np.shape(x_end) + shape
     if math.prod(shape) == 1:
         e, x, t = (float(a.reshape(-1)[0]) for a in (E, xi, th0))
         rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x), e)
         th, _ = _cash_karp(rhs, _float_norm(rtol, atol, atol), x_start, x_end,
                            t, 0.0, max_step=max_step,
                            context=f" (E={e}, xi={x})")
-        return np.full(shape, th)
+        return np.reshape(th, out_shape)
 
-    E = np.broadcast_to(E, shape)
-    xi = np.broadcast_to(xi, shape)
+    v = potentials.offset_evaluator(spec, xi)
+    e1 = E - 1.0
 
     def rhs(x, t):
         s = np.sin(t)
-        c = np.cos(t)
-        ev = E - potentials.evaluate(spec, x, xi)
-        return c * c + ev * s * s, None
+        return 1.0 + (e1 - v(x)) * s * s, None
 
     def norm(t0, t1, err, *_):
         sc = atol + rtol * np.maximum(np.abs(t0), np.abs(t1))
-        return float(np.max(np.abs(err) / sc)), float(np.max(np.abs(t1 - t0)))
+        return float((np.abs(err) / sc).max()), float(np.abs(t1 - t0).max())
 
     th = np.array(np.broadcast_to(th0, shape), dtype=float)
     return _cash_karp(rhs, norm, x_start, x_end, th, max_step=max_step)[0]
 
 
-def bisect(theta_of, below, above, target, tol: float) -> np.ndarray:
-    """Points where theta_of crosses target, by joint bisection of brackets.
+def bisect(theta_of, below, above, target, tol: float,
+           ends=None) -> np.ndarray:
+    """Points where theta_of crosses target, by a joint ITP search of brackets.
 
     theta_of maps an array of points to an array of phases; below, above and
     target broadcast.  `below` is the bracket end where theta < target and
     `above` the end where theta >= target, in either order on the line, so
     an increasing and a decreasing phase are both just an order of the ends.
-    Every bracket is halved ceil(log2(width / tol)) times, width being the
-    widest one, and the midpoints are returned.
+    The search is ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; kappa1 =
+    0.2 / width, kappa2 = 2): each step takes the regula-falsi point,
+    truncated toward the midpoint and projected into the ball that keeps
+    bisection's guarantee.  After one evaluation of the ends and at most
+    ceil(log2(width / tol)) steps (n0 = 0), width being the widest bracket,
+    every bracket is at most tol wide and its midpoint is returned, within
+    tol / 2 of a crossing: at most one evaluation more than bisection.
+    ends, when the caller has them, are the phases at below and above; the
+    evaluation they save becomes one more step of slack (n0 = 1).  Negating
+    the bracket negates the result exactly.
     """
     below, above, target = np.broadcast_arrays(
         np.asarray(below, dtype=float), np.asarray(above, dtype=float), target)
     if below.size == 0:
         return np.empty(below.shape)
     width = float(np.max(np.abs(above - below)))
-    for _ in range(max(1, math.ceil(math.log2(max(width / tol, 2.0))))):
+    # the one evaluation allowed beyond bisection goes to the ends, or, when
+    # the caller has them, to the projection's slack (n0 = 1)
+    n_max = (max(1, math.ceil(math.log2(max(width / tol, 2.0))))
+             + (ends is not None))
+    kappa1 = 0.2 / max(width, tol)
+    if ends is None:
+        ends = theta_of(np.stack([below, above]))
+    f_below, f_above = (np.asarray(t, dtype=float) - target for t in ends)
+    for step in range(n_max):
+        span = np.abs(above - below)
+        if np.all(span <= tol):
+            break
         mid = 0.5 * (below + above)
-        low = theta_of(mid) < target
-        below = np.where(low, mid, below)
-        above = np.where(low, above, mid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_f = (above * f_below - below * f_above) / (f_below - f_above)
+        x_f = np.where(np.isfinite(x_f), np.clip(
+            x_f, np.minimum(below, above), np.maximum(below, above)), mid)
+        sigma = np.sign(mid - x_f)
+        delta = kappa1 * span * span
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        radius = 0.5 * tol * 2.0 ** (n_max - step) - 0.5 * span
+        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
+        fx = theta_of(x) - target
+        low = fx < 0
+        below = np.where(low, x, below)
+        f_below = np.where(low, fx, f_below)
+        above = np.where(low, above, x)
+        f_above = np.where(low, f_above, fx)
     return 0.5 * (below + above)
 
 

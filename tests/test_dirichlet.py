@@ -270,3 +270,80 @@ def test_second_gap_two_passages_per_period(mathieu, gap2):
     passes = sum(int(np.sum(np.diff(np.sign(c.mu - level)) != 0))
                  for c in rights)
     assert passes == 2
+
+
+def _window_values(spec, gap, offsets, L, side):
+    return dirichlet._window_scan(spec, gap, offsets, L, side, mu_tol=1e-10,
+                                  rtol=1e-11)
+
+
+@pytest.mark.parametrize("side", [dirichlet.RIGHT, dirichlet.LEFT])
+def test_window_scan_matches_single_offset_values(mathieu, gap1, side):
+    offsets = np.linspace(0.0, 2.0 * math.pi, 64)
+    window = _window_values(mathieu, gap1, offsets, 60.0, side)
+    single = (dirichlet.right_dirichlet_values if side == dirichlet.RIGHT
+              else dirichlet.left_dirichlet_values)
+    found = 0
+    for k in range(0, 64, 7):
+        ref = single(mathieu, float(offsets[k]), gap1, 60.0)
+        assert len(window[k]) == len(ref)
+        assert np.all(np.abs(window[k] - np.array(ref)) <= 1e-6)
+        found += len(ref)
+    assert found >= 3
+
+
+def test_window_artifact_in_gap_is_removed(mathieu, gap1):
+    # at L 30 the pass seeded at -40.4 carries its truncation artifact in
+    # the trimmed first gap; offset -2.7 also has a genuine value in the
+    # artifact's slabs
+    offsets = np.linspace(-10.4, 10.4, 209)
+    w = dirichlet._window_pass(mathieu, gap1, offsets, 30.0, dirichlet.RIGHT,
+                               1e-8)
+    slab = w.artifact[0]
+    assert slab >= 0
+    e_lo, e_hi = w.energies[slab - 1], w.energies[slab + 2]
+    window = dirichlet._window_scan(mathieu, gap1, offsets, 30.0,
+                                    dirichlet.RIGHT, mu_tol=1e-8, rtol=1e-8)
+    assert any(len(v) and e_lo <= v[0] <= e_hi for v in window[:w.m])
+    for k in (0, 26, 52, 77, 78, 104, 130, 156, 182, 208):
+        ref = dirichlet.right_dirichlet_values(mathieu, float(offsets[k]),
+                                               gap1, 30.0)
+        assert len(window[k]) == len(ref), offsets[k]
+        assert np.all(np.abs(window[k] - np.array(ref)) <= 1e-6)
+
+
+def test_one_offset_window_artifact_in_gap(mathieu, gap1):
+    # the pass [-30, 0] has its artifact in the trimmed gap, and offset 0
+    # has no right value there (the box oracle agrees, see above)
+    w = dirichlet._window_pass(mathieu, gap1, [0.0], 30.0, dirichlet.RIGHT,
+                               1e-12)
+    assert w.artifact[0] >= 0
+    assert dirichlet.right_dirichlet_values(mathieu, 0.0, gap1, 30.0) == []
+    assert dirichlet.left_dirichlet_values(mathieu, 0.0, gap1, 30.0) == []
+    L, h = 30.0, 0.005
+    vals, vecs, xs = lattice.fd_eigenvalues(mathieu, -L, 0.0, 0.0, h,
+                                            gap1.e_lower, gap1.e_upper,
+                                            vectors=True)
+    lo, hi = gap1.trimmed()
+    localized = [float(vals[i]) for i in range(len(vals))
+                 if lo <= vals[i] <= hi
+                 and np.sum(vecs[xs >= -L / 4, i] ** 2) >= 0.5]
+    assert localized == []
+
+
+@pytest.mark.parametrize("side", [dirichlet.RIGHT, dirichlet.LEFT])
+def test_trace_flow_pass_count(mathieu, gap1, monkeypatch, side):
+    # one window pass, one bracket check and the polishing steps; the
+    # per-offset bisection took 31 passes per side on these inputs
+    calls = []
+    theta_grid = prufer.theta_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return theta_grid(*args, **kwargs)
+
+    monkeypatch.setattr(prufer, "theta_grid", counted)
+    flow = dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.05,
+                                60.0, sides=(side,))
+    assert len(flow) == 1
+    assert len(calls) <= 15
