@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import dirichlet, harness, klabel, rotation, spectrum
+from . import dirichlet, harness, rotation, spectrum
 from .harness import ExperimentConfig, load_config, parse_potential_arg
 from .potentials import PotentialSpec
 
@@ -104,11 +104,7 @@ def cmd_klabel(args) -> int:
     a_big, b_big = cfg.xi_chain.largest
     flow = dirichlet.trace_flow(cfg.potential, gap, a_big, b_big, cfg.dxi,
                                 cfg.L, sides=(dirichlet.RIGHT,))
-    w = cfg.trace_window_halfwidth
-    pt = klabel.pi_trace(cfg.potential, gap, (-w, w), cfg.dxi, cfg.L, cfg.h,
-                         mass_threshold=cfg.mass_threshold)
-    pc = klabel.pi_curves(flow, gap, cfg.xi_chain, dxi=cfg.dxi)
-    bf = klabel.boundary_force(flow, gap, cfg.xi_chain)
+    pt, pc, bf = harness.edge_state_labels(cfg, gap, flow)
     print(f"gap ({gap.e_lower:.6f}, {gap.e_upper:.6f}):")
     print(f"  pi_trace       = {pt.value!r} +- {pt.error_estimate:.2e} "
           f"(imag residue {pt.imag_residue:.1e})")

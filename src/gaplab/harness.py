@@ -6,8 +6,7 @@ each gap (density of states, phase rotation number by both routes, Dirichlet
 rotation number in both circle variants, trace invariant by operator and by
 curve formula, boundary force), and records the pairwise discrepancy matrix.
 A pair passes when the absolute difference is at most the sum of the two
-error estimates.  Runs are deterministic: no clocks, no unseeded randomness,
-fixed quadrature orders.
+error estimates.  Runs are deterministic: no clocks, no unseeded randomness.
 """
 
 from __future__ import annotations
@@ -213,6 +212,18 @@ def _discrepancy_matrix(labels: dict[str, LabelValue]) -> dict:
             for i, a in enumerate(names) for b in names[i + 1:]}
 
 
+def edge_state_labels(config: ExperimentConfig, gap: Gap, flow):
+    """The edge-state labels of one gap: pi_trace on the lattice over the
+    configured trace window, pi_curves and boundary_force on the flow."""
+    w = config.trace_window_halfwidth
+    pt = klabel.pi_trace(config.potential, gap, (-w, w), config.dxi,
+                         config.L, config.h,
+                         mass_threshold=config.mass_threshold)
+    pc = klabel.pi_curves(flow, gap, config.xi_chain, dxi=config.dxi)
+    bf = klabel.boundary_force(flow, gap, config.xi_chain)
+    return pt, pc, bf
+
+
 def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
     """Compute every label and verdict for one gap of detect_gaps(config).
 
@@ -234,11 +245,7 @@ def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
                             "right_only", flow=flow)
     beta_t = dirichlet.beta(spec, gap, config.xi_chain, config.dxi, config.L,
                             "two_sided", flow=flow)
-    pc = klabel.pi_curves(flow, gap, config.xi_chain, dxi=config.dxi)
-    bf = klabel.boundary_force(flow, gap, config.xi_chain)
-    w = config.trace_window_halfwidth
-    pt = klabel.pi_trace(spec, gap, (-w, w), config.dxi, config.L, config.h,
-                         mass_threshold=config.mass_threshold)
+    pt, pc, bf = edge_state_labels(config, gap, flow)
 
     labels = {
         "ids": LabelValue(ids_res.value, ids_res.error_estimate),
@@ -339,14 +346,12 @@ def persist(config: ExperimentConfig, reports, artifacts, energies,
             for x, p in zip(beta_r.xi_grid, beta_r.lift):
                 fh.write(f"{gi},{_fmt(x)},{_fmt(p)}\n")
 
-    with open(os.path.join(out, "trace_integrand.csv"), "w",
+    with open(os.path.join(out, "trace_phase.csv"), "w",
               encoding="utf-8") as fh:
-        fh.write("gap_id,xi,integrand_real,integrand_imag\n")
+        fh.write("gap_id,xi,phase\n")
         for gi, (gap, flow, _, pt) in enumerate(artifacts):
-            if pt.xi_nodes is None:
-                continue
-            for x, v in zip(pt.xi_nodes, pt.integrand):
-                fh.write(f"{gi},{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}\n")
+            for x, p in zip(pt.xi_nodes, pt.phase):
+                fh.write(f"{gi},{_fmt(x)},{_fmt(p)}\n")
 
 
 def convergence_study(config: ExperimentConfig, parameter: str,

@@ -68,18 +68,6 @@ def evaluate(spec: PotentialSpec, x, xi=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def derivative(spec: PotentialSpec, x, xi=0.0):
-    """Evaluate V'(x + xi).  Broadcasts like evaluate."""
-    if spec.kind == ZERO:
-        return evaluate(spec, x, xi)
-    y = np.asarray(x, dtype=float) + np.asarray(xi, dtype=float)
-    out = np.zeros_like(y)
-    for a, f, p in spec.terms:
-        w = TWO_PI * f
-        out = out - a * w * np.sin(w * y + p)
-    return float(out) if out.ndim == 0 else out
-
-
 def amplitude_bound(spec: PotentialSpec) -> float:
     """sum |A_j|, a uniform bound on |V|."""
     return sum(abs(a) for a, _, _ in spec.terms) if spec.kind == COSINE_SUM else 0.0

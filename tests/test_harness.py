@@ -124,7 +124,7 @@ def test_full_mathieu_report(smoke_run):
     assert rep.all_pass
     # artifacts on disk
     for name in ("report.json", "ids_scan.csv", "flow_curves.csv",
-                 "mu_tilde_phase.csv", "trace_integrand.csv"):
+                 "mu_tilde_phase.csv", "trace_phase.csv"):
         assert os.path.exists(tmp_path / name)
     with open(tmp_path / "report.json", encoding="utf-8") as fh:
         parsed = json.load(fh)
@@ -140,6 +140,8 @@ def test_csv_artifacts_have_headers(smoke_run):
         assert fh.readline().strip() == "gap_id,curve_id,side,xi,mu"
     with open(tmp_path / "ids_scan.csv", encoding="utf-8") as fh:
         assert fh.readline().strip() == "energy,ids"
+    with open(tmp_path / "trace_phase.csv", encoding="utf-8") as fh:
+        assert fh.readline().strip() == "gap_id,xi,phase"
 
 
 def test_convergence_study_h_second_order():
@@ -238,7 +240,8 @@ def test_cli_klabel_labels(capsys, tmp_path):
     ini.write_text(SMALL_INI, encoding="utf-8")
     assert main(["klabel", "--config", str(ini)]) == 0
     labels = _labels(capsys.readouterr().out)
-    assert labels["pi_trace"] == pytest.approx(0.15918261628075972, rel=1e-9)
-    assert labels["pi_curves"] == pytest.approx(0.1856459713163863, rel=1e-9)
+    assert labels["pi_trace"] == pytest.approx(1.0 / (2.0 * math.pi),
+                                               rel=1e-9)
+    assert labels["pi_curves"] == pytest.approx(0.18588048456051467, rel=1e-9)
     assert labels["boundary_force"] == pytest.approx(0.1784488747344137,
                                                      rel=1e-9)

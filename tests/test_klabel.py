@@ -91,40 +91,6 @@ def test_pi_trace_first_gap(mathieu, gap1):
     assert res.imag_residue < 1e-3
 
 
-def test_pi_trace_gauge_robustness(mathieu, gap1):
-    # mass_threshold 0 also keeps the truncation state near -L: rank 2
-    xi = 4.5
-    op = klabel.build_halfline(mathieu, xi, 60.0, 0.01)
-    unit = klabel.edge_projector(op, gap1, mass_threshold=0.0)
-    assert unit.rank == 2
-    dv = potentials.derivative(mathieu, op.xs, xi)
-    base = unit.trace_integrand(dv)
-    assert base != 0.0
-    rng = np.random.default_rng(31415)
-    for _ in range(10):
-        perm = rng.permutation(unit.rank)
-        signs = rng.choice([-1.0, 1.0], size=unit.rank)
-        scrambled = klabel.EdgeUnitary(
-            gap=gap1, eigenvalues=unit.eigenvalues[perm],
-            vectors=unit.vectors[:, perm] * signs[None, :],
-            phases=unit.phases[perm])
-        assert scrambled.trace_integrand(dv) == base
-
-
-def test_eigenvalue_slope_matches_central_difference(mathieu, gap1):
-    xi, d = 3.93, 1e-5
-    op = klabel.build_halfline(mathieu, xi, 60.0, 0.01)
-    unit = klabel.edge_projector(op, gap1)
-    assert unit.rank == 1
-    slope = unit.slopes(potentials.derivative(mathieu, op.xs, xi))
-    plus, minus = (klabel.edge_projector(
-        klabel.build_halfline(mathieu, xi + s, 60.0, 0.01), gap1)
-        for s in (d, -d))
-    fd = (plus.eigenvalues - minus.eigenvalues) / (2.0 * d)
-    assert abs(float(slope[0])) > 0.1
-    assert float(slope[0]) == pytest.approx(float(fd[0]), rel=1e-6)
-
-
 def _shifted_mathieu(n: int, phase: float):
     spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), phase)])
     return spec, Gap(*mathieu_gap_edges(n))
@@ -141,6 +107,26 @@ def test_pi_trace_second_gap_short_halfline():
     spec, gap = _shifted_mathieu(2, 0.393)
     res = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.1, 30.0, 0.01)
     assert abs(res.value - 1.0 / math.pi) <= res.error_estimate
+
+
+@pytest.mark.parametrize("n, phase", [(2, 2.75), (1, 4.0)])
+def test_pi_trace_exact_on_whole_periods(n, phase):
+    # the settings of the edge_labels benchmark: the window holds two
+    # periods, so the end differences telescope to the crossing count
+    spec, gap = _shifted_mathieu(n, phase)
+    res = klabel.pi_trace(spec, gap, (-2.0 * math.pi, 2.0 * math.pi), 0.05,
+                          60.0, 0.005)
+    assert abs(res.value - n / (2.0 * math.pi)) < 1e-12
+    assert res.error_estimate < 1e-4
+    assert len(res.phase) == len(res.xi_nodes) == len(res.retained_counts)
+
+
+def test_pi_trace_coarse_step_raises():
+    # at dxi 0.4 one node step moves the summed edge phases by ~2.7 rad,
+    # which a min-jump lift could not tell from its 2 pi complement
+    spec, gap = _shifted_mathieu(2, 0.0)
+    with pytest.raises(dirichlet.FlowResolutionError, match="dxi = 0.4"):
+        klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.4, 30.0, 0.01)
 
 
 def test_pi_trace_mass_threshold_sweep(mathieu, gap1):
@@ -160,16 +146,21 @@ def test_pi_trace_h_refinement(mathieu, gap1):
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
-def test_single_curve_trace_reduction(mathieu, gap1, flow_gap1_period):
-    curve = max((c for c in flow_gap1_period if c.side == "right"), key=len)
-    resid = klabel.single_curve_reduction_residual(mathieu, gap1, curve,
-                                                   len(curve) // 2)
-    assert resid < 1e-3
-
-
 def test_pi_curves_empty_flow_is_zero(gap1):
     res = klabel.pi_curves([], gap1, WindowChain.geometric(4.0, 1.6, 3))
     assert res.value == 0.0
+
+
+def test_pi_curves_is_end_difference_of_lift(mathieu, gap1,
+                                              flow_gap1_period):
+    chain = WindowChain.geometric(3.0, 1.6, 1, center=math.pi)
+    (a, b), = chain.windows
+    phi = dirichlet.beta(mathieu, gap1, chain, 0.05,
+                         flow=flow_gap1_period).lift
+    expected = -((phi[-1] - phi[0]) - (math.sin(phi[-1]) - math.sin(phi[0]))
+                 ) / (2.0 * math.pi * (b - a))
+    pc = klabel.pi_curves(flow_gap1_period, gap1, chain, dxi=0.05)
+    assert abs(pc.value - expected) < 1e-12
 
 
 def test_pi_curves_matches_beta(mathieu, gap1, xi_chain, flow_gap1):
@@ -194,6 +185,14 @@ def test_boundary_force_matches_pi_curves(gap1, xi_chain, flow_gap1):
     bf = klabel.boundary_force(flow_gap1, gap1, xi_chain)
     pc = klabel.pi_curves(flow_gap1, gap1, xi_chain)
     assert abs(bf.value - pc.value) < 1e-3
+
+
+def test_boundary_force_equals_beta_right(mathieu, gap1, xi_chain,
+                                          flow_gap1):
+    # both are window differences of the summed right-curve energies
+    bf = klabel.boundary_force(flow_gap1, gap1, xi_chain)
+    beta = dirichlet.beta(mathieu, gap1, xi_chain, flow=flow_gap1)
+    assert abs(bf.value - beta.value) < 1e-12
 
 
 def test_boundary_force_sign_and_hypothesis(gap1, xi_chain, flow_gap1):

@@ -43,20 +43,6 @@ def test_amplitude_and_slope_bounds(x, xi, terms):
     assert abs(P.evaluate(spec, x, xi)) <= P.amplitude_bound(spec) + 1e-12
 
 
-def test_derivative_matches_central_difference():
-    spec = PotentialSpec.cosine_sum([(1.0, 0.31, 0.2), (0.4, 0.77, -1.0)])
-    xs = np.linspace(-3.0, 3.0, 41)
-    xi = np.array([[0.0], [2.5]])
-    d = 1e-5
-    fd = (P.evaluate(spec, xs, xi + d) - P.evaluate(spec, xs, xi - d)) / (2 * d)
-    dv = P.derivative(spec, xs, xi)
-    assert dv.shape == (2, 41)
-    assert np.allclose(dv, fd, rtol=0.0, atol=1e-8)
-    assert P.derivative(spec, 1.1, 0.4) == P.derivative(spec, 1.1 + 0.4, 0.0)
-    assert P.derivative(PotentialSpec.zero(), xs, 0.3).shape == xs.shape
-    assert P.derivative(PotentialSpec.zero(), 3.7, 1.2) == 0.0
-
-
 def test_rationally_related_frequencies_are_periodic():
     # frequencies 2/3 and 1/3 per unit length: common period 3
     spec = PotentialSpec.cosine_sum([(1.0, 2.0 / 3.0, 0.1),
