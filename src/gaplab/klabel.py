@@ -14,12 +14,13 @@ difference between the window ends: -[Phi - sum_j sin phi_j] / (2 pi |W|),
 with Phi a continuous lift of sum_j phi_j, and an imaginary part
 [sum_j (1 - cos phi_j)] / (2 pi |W|).  sin phi and 1 - cos phi vanish at
 both gap edges, so an edge state entering or leaving the gap adds only the
-2 pi that the lift folds away.  No quadrature and no eigenvalue derivative
-is taken; the nodes between the window ends only carry the lift.
+2 pi that the lift folds away.  The nodes between the window ends only
+carry the lift; pi_trace spaces them by a bound on the edge-phase speed.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -27,12 +28,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import dirichlet, lattice, potentials, rotation
-from .dirichlet import phase_lift, _min_jump_lift, _xi_grid
+from .dirichlet import phase_lift, _xi_grid
 from .potentials import PotentialSpec, WindowChain
 from .spectrum import Gap
 
 TWO_PI = 2.0 * math.pi
 MATRIX_SIZE_CAP = 2_000_000
+
+log = logging.getLogger(__name__)
 
 
 class ResourceLimitError(RuntimeError):
@@ -109,17 +112,21 @@ class EdgeUnitary:
 
 def edge_projector(op: HalflineOperator, gap: Gap,
                    mass_threshold: float = 0.5) -> EdgeUnitary:
-    """Eigenpairs in the gap carrying enough mass near the x = 0 boundary.
+    """In-gap states carrying enough mass near the x = 0 boundary.
 
     The truncation at -L adds spurious in-gap states localized there; the
-    filter keeps eigenvectors with at least mass_threshold of their squared
-    amplitude in [-L/4, 0].
+    filter keeps states with at least mass_threshold of their squared
+    amplitude in [-L/4, 0].  The states are the eigenvectors of the mass
+    matrix V_near^T V_near of the in-gap eigenvectors V, with Rayleigh
+    quotients as eigenvalues: they unmix a boundary and a truncation state
+    that a mirror-symmetric box makes degenerate.
     """
     w, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",
                             select_range=(gap.e_lower, gap.e_upper))
-    near = op.xs >= -op.L / 4.0
-    keep = np.sum(v[near] ** 2, axis=0) >= mass_threshold
-    return EdgeUnitary(gap=gap, eigenvalues=w[keep], vectors=v[:, keep])
+    near = v[op.xs >= -op.L / 4.0]
+    mass, rot = np.linalg.eigh(near.T @ near)
+    rot = rot[:, mass >= mass_threshold]
+    return EdgeUnitary(gap=gap, eigenvalues=(rot ** 2).T @ w, vectors=v @ rot)
 
 
 @dataclass(frozen=True)
@@ -137,30 +144,58 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
              mass_threshold: float = 0.5) -> KLabelResult:
     """Trace-formula gap label on an offset window.
 
-    One eigensolve per node of the dxi grid gives the retained edge phases
-    phi_j; with Phi the min-jump lift of sum_j phi_j over the nodes, the
-    window mean of Tr[(U* - 1) dU/dxi], normalized by -1/(2 pi i), is
+    One eigensolve per offset node gives the retained edge phases phi_j;
+    with Phi the lift of sum_j phi_j over the nodes, the window mean of
+    Tr[(U* - 1) dU/dxi], normalized by -1/(2 pi i), is
     -[Phi - sum_j sin phi_j] / (2 pi |W|) with imaginary part
     [sum_j (1 - cos phi_j)] / (2 pi |W|), both taken at the window ends.
-    The lift is trusted only while one node step moves Phi by at most pi/2;
-    a larger step raises FlowResolutionError.  The result must be real: its
-    imaginary residue is added to the 1e-5 error floor, and a residue above
-    ten times that floor aborts.
+
+    dxi keeps its place for callers but no longer spaces the nodes.  As
+    d diag/dxi = V'(x + xi), each edge phase moves at most sigma =
+    2 pi slope_bound(V)/|gap| per unit offset (Hellmann-Feynman), so a step s
+    between nodes holding r0 and r1 states whose folded change of sum_j phi_j
+    is at most B = max(r0 + r1, 1) sigma s < pi has that as its true change.
+    Other steps are halved; one shorter than h that still fails holds a state
+    appearing inside the gap and raises FlowResolutionError.  The result must
+    be real: its imaginary residue is added to the 1e-5 error floor, and a
+    residue above ten times that floor aborts.
     """
     a, b = float(xi_window[0]), float(xi_window[1])
     if not b > a:
         raise ValueError("empty offset window")
-    nodes = _xi_grid(a, b, dxi)
-    angles = [edge_projector(build_halfline(spec, x, L, h), gap,
-                             mass_threshold).angles for x in nodes]
-    lift = _min_jump_lift(np.array([np.sum(p) for p in angles]))
-    steps = np.abs(np.diff(lift))
-    k = int(np.argmax(steps))
-    if steps[k] > math.pi / 2.0:
-        raise dirichlet.FlowResolutionError(
-            f"edge phases move {steps[k]:.2f} rad between xi = "
-            f"{nodes[k]:.6g} and {nodes[k + 1]:.6g}; dxi = {dxi} is too "
-            f"coarse to lift them")
+
+    def solve(x):
+        return edge_projector(build_halfline(spec, x, L, h), gap,
+                              mass_threshold).angles
+
+    sigma = TWO_PI * potentials.slope_bound(spec) / gap.width
+    # eigh_tridiagonal resolves eigenvalues to eps times the 1-norm of T
+    slack = (TWO_PI * np.finfo(float).eps / gap.width
+             * (4.0 / h ** 2 + potentials.amplitude_bound(spec)))
+    reach = 0.95 * math.pi / sigma if sigma else math.inf
+    nodes, angles, halved = [a], [solve(a)], 0
+    lift = [float(np.sum(angles[0]))]
+    while nodes[-1] < b:
+        x, r0 = nodes[-1], len(angles[-1])
+        x1 = min(b, x + reach / max(2 * r0, 1))
+        while True:
+            p1 = solve(x1)
+            d = math.remainder(float(np.sum(p1)) - lift[-1], TWO_PI)
+            bound = max(r0 + len(p1), 1) * sigma * (x1 - x)
+            if bound < math.pi and abs(d) <= bound + (r0 + len(p1)) * slack:
+                break
+            if x1 - x < h:
+                raise dirichlet.FlowResolutionError(
+                    f"an edge state appears inside gap ({gap.e_lower:.6g}, "
+                    f"{gap.e_upper:.6g}) between xi = {x!r} and xi = {x1!r}")
+            log.debug("pi_trace: halved the step from xi = %r to %r", x, x1)
+            x1 = x + (x1 - x) / 2.0
+            halved += 1
+        nodes.append(x1)
+        angles.append(p1)
+        lift.append(lift[-1] + d)
+    log.debug("pi_trace: window (%r, %r), %d nodes solved, %d steps halved",
+              a, b, len(nodes) + halved, halved)
 
     norm = TWO_PI * (b - a)
     first, last = angles[0], angles[-1]
@@ -177,7 +212,7 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
                         error_estimate=base_err + imag_residue,
                         imag_residue=imag_residue,
                         retained_counts=tuple(len(p) for p in angles),
-                        xi_nodes=nodes, phase=lift)
+                        xi_nodes=np.array(nodes), phase=np.array(lift))
 
 
 def _end_differences(samples: np.ndarray, xis: np.ndarray,

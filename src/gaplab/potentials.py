@@ -73,6 +73,11 @@ def amplitude_bound(spec: PotentialSpec) -> float:
     return sum(abs(a) for a, _, _ in spec.terms) if spec.kind == COSINE_SUM else 0.0
 
 
+def slope_bound(spec: PotentialSpec) -> float:
+    """sum |A_j| 2 pi |f_j|, a uniform bound on |V'|."""
+    return sum((abs(a) * TWO_PI * abs(f) for a, f, _ in spec.terms), 0.0)
+
+
 def max_frequency(spec: PotentialSpec) -> float:
     if spec.kind == ZERO:
         return 0.0

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,12 +123,75 @@ def test_pi_trace_exact_on_whole_periods(n, phase):
     assert len(res.phase) == len(res.xi_nodes) == len(res.retained_counts)
 
 
-def test_pi_trace_coarse_step_raises():
-    # at dxi 0.4 one node step moves the summed edge phases by ~2.7 rad,
-    # which a min-jump lift could not tell from its 2 pi complement
+@pytest.mark.parametrize("phase", [0.1, 2.977])
+@pytest.mark.parametrize("n, max_nodes", [(1, 30), (2, 45)])
+def test_pi_trace_node_choice_at_edge_trace_settings(n, max_nodes, phase):
+    # the nodes come from the slope bound alone, so dxi does not move them
+    spec, gap = _shifted_mathieu(n, phase)
+    res = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
+    assert abs(res.value - n / (2.0 * math.pi)) < 1e-12
+    assert len(res.xi_nodes) <= max_nodes
+    coarse = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.4, 60.0, 0.01)
+    assert np.array_equal(coarse.xi_nodes, res.xi_nodes)
+
+
+def test_pi_trace_unresolved_appearance_names_interval(monkeypatch, mathieu,
+                                                        gap1):
+    # a state appearing mid-gap (at phase pi) past xi = c is no motion the
+    # slope bound allows at any step, so halving must corner it
+    c, h = 0.4321, 0.01
+    real = klabel.edge_projector
+
+    def with_appearance(op, gap, mass_threshold=0.5):
+        unit = real(op, gap, mass_threshold)
+        if op.xi <= c:
+            return unit
+        mid = np.append(unit.eigenvalues, gap.e_lower + gap.width / 2.0)
+        return klabel.EdgeUnitary(gap, np.sort(mid), unit.vectors)
+
+    monkeypatch.setattr(klabel, "edge_projector", with_appearance)
+    with pytest.raises(dirichlet.FlowResolutionError) as info:
+        klabel.pi_trace(mathieu, gap1, (0.0, 2.0), 0.05, 20.0, h)
+    lo, hi = map(float, re.search(r"between xi = (\S+) and xi = (\S+)$",
+                                  str(info.value)).groups())
+    assert lo <= c < hi
+    assert hi - lo <= h
+
+
+def test_pi_trace_logs_nodes_at_debug_level(caplog, mathieu, gap1):
+    with caplog.at_level(logging.DEBUG, logger="gaplab.klabel"):
+        res = klabel.pi_trace(mathieu, gap1, (0.0, 2.0), 0.05, 20.0, 0.01)
+    assert f"{len(res.xi_nodes)} nodes solved, 0 steps halved" in caplog.text
+    assert "window (0.0, 2.0)" in caplog.text
+
+
+def test_edge_phases_move_within_slope_bound(mathieu):
+    # Hellmann-Feynman: d lambda_j/d xi = <v_j, V'(x + xi) v_j>, so between
+    # two offsets every retained eigenvalue has a partner within
+    # slope_bound * dxi, or has just crossed a gap edge
+    dxi = 0.02
+    limit = potentials.slope_bound(mathieu) * dxi + 1e-9
+    for n in (1, 2):
+        gap = Gap(*mathieu_gap_edges(n))
+        levels = [klabel.edge_projector(
+            klabel.build_halfline(mathieu, x, 30.0, 0.01), gap).eigenvalues
+            for x in np.arange(-math.pi, math.pi, dxi)]
+        for now, then in zip(levels, levels[1:]):
+            for lam, other in ((now, then), (then, now)):
+                for e in lam:
+                    near = np.append(other, [gap.e_lower, gap.e_upper])
+                    assert np.min(np.abs(near - e)) <= limit
+
+
+def test_edge_projector_separates_mirror_degenerate_states():
+    # at xi = L/2 the box is mirror-symmetric: the boundary state and the
+    # truncation state at -L are degenerate and the eigensolver mixes them
     spec, gap = _shifted_mathieu(2, 0.0)
-    with pytest.raises(dirichlet.FlowResolutionError, match="dxi = 0.4"):
-        klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.4, 30.0, 0.01)
+    op = klabel.build_halfline(spec, 30.0, 60.0, 0.01)
+    unit = klabel.edge_projector(op, gap)
+    assert unit.rank == 1
+    near = op.xs >= -op.L / 4.0
+    assert np.sum(unit.vectors[near] ** 2) >= 0.999
 
 
 def test_pi_trace_mass_threshold_sweep(mathieu, gap1):

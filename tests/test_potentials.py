@@ -43,6 +43,26 @@ def test_amplitude_and_slope_bounds(x, xi, terms):
     assert abs(P.evaluate(spec, x, xi)) <= P.amplitude_bound(spec) + 1e-12
 
 
+@pytest.mark.parametrize("terms, attained", [
+    ([(2.0, 1.0 / (2 * math.pi), 0.3)], True),
+    ([(-1.5, 0.7, 1.1)], True),
+    ([(1.0, 2.0 / 3.0, 0.1), (0.5, 1.0 / 3.0, -0.4)], False),
+    ([(1.0, 1.0, 0.0), (0.8, (math.sqrt(5.0) - 1.0) / 2.0, 0.5)], False),
+])
+def test_slope_bound_against_finite_differences(terms, attained):
+    spec = PotentialSpec.cosine_sum(terms)
+    xs = np.linspace(-20.0, 20.0, 400_001)
+    slope = np.max(np.abs(np.gradient(P.evaluate(spec, xs), xs)))
+    bound = P.slope_bound(spec)
+    assert slope <= bound
+    if attained:
+        assert slope >= 0.99 * bound
+
+
+def test_slope_bound_of_zero_potential():
+    assert P.slope_bound(PotentialSpec.zero()) == 0.0
+
+
 def test_rationally_related_frequencies_are_periodic():
     # frequencies 2/3 and 1/3 per unit length: common period 3
     spec = PotentialSpec.cosine_sum([(1.0, 2.0 / 3.0, 0.1),
