@@ -27,6 +27,7 @@ never cross, so matching is unambiguous at adequate resolution).
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,8 @@ from . import prufer, rotation
 from .potentials import PotentialSpec, WindowChain
 from .prufer import LEFT, RIGHT
 from .spectrum import Gap
+
+log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,11 +147,6 @@ def _scan_theta_at_zero(spec, energies, offsets, L, side, rtol):
     x0, seeds = prufer.decaying_start(spec, energies, offsets, L, side)
     return prufer.theta_grid(spec, energies, offsets, x0, 0.0, seeds,
                              rtol=rtol, atol=rtol * 1e-2)
-
-
-def _phase_order(lo, hi, side):
-    """(below, above): the ends of [lo, hi] where theta(0) is lower, higher."""
-    return (lo, hi) if side == RIGHT else (hi, lo)
 
 
 def _lobatto(lo: float, hi: float) -> np.ndarray:
@@ -262,7 +260,8 @@ def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
     offsets and the PROBES alike (_artifact_slab); subtracting pi above it
     leaves the genuine crossings.  Each is estimated from the Chebyshev
     interpolant of the corrected phase and polished on its block's own
-    pass, to mu_tol.  Returns one ascending array per offset.
+    pass, to mu_tol, by stencil Newton steps (_polish), and logged at debug
+    level.  Returns one ascending array per offset.
     """
     w = _window_pass(spec, gap, offsets, L, side, rtol)
     n, m, energies = len(offsets), w.m, w.energies
@@ -299,10 +298,12 @@ def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
         energies[lo_node], energies[hi_node], (kc[j, i, b] + 1.0) * math.pi,
         1e-3 * mu_tol)
     s = 1.0 if side == RIGHT else -1.0
+    passes = [1]
 
     def phase_of(c):
         """The phase of crossings c on their own passes, as a function of E."""
         def f(e):
+            passes[0] += 1
             x0, seeds = prufer.decaying_start(spec, e, w.anchors[b[c]], L,
                                               side)
             th = prufer.theta_grid(spec, e, w.anchors[b[c]], x0,
@@ -314,9 +315,13 @@ def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
         return f
 
     lo, hi = gap.trimmed()
-    roots = _polish(phase_of, estimate, energies[lo_node], energies[hi_node],
-                    w.phase[j, lo_node, b], w.phase[j, hi_node, b],
-                    POLISH_WIDTH * (hi - lo), mu_tol)
+    roots, counts = _polish(phase_of, estimate, energies[lo_node],
+                            energies[hi_node], w.phase[j, lo_node, b],
+                            w.phase[j, hi_node, b], POLISH_WIDTH * (hi - lo),
+                            mu_tol)
+    log.debug("window scan (%s): %d passes, %d crossings, %d certified by "
+              "the first stencil, %d inverted brackets, %d estimates kept "
+              "unpolished", side, passes[0], len(j), *counts)
     out = [[] for _ in range(n)]
     for idx, mu in zip(w.index[b * m + j], roots):
         if lo <= mu <= hi:
@@ -330,14 +335,16 @@ def _polish(phase_of, estimate, e_lo, e_hi, p_lo, p_hi, delta, tol):
     phase_of(c) is the phase of crossings c as a function of their
     energies; [e_lo, e_hi] is each estimate's slab and p_lo, p_hi the phase
     at its ends.  One pass takes the phase delta either side of every
-    estimate: where the two straddle one multiple of pi, that bracket is
+    estimate, and tol / 2 either side, the first stencil of prufer.bisect:
+    where the two outer ones straddle one multiple of pi, that bracket is
     searched; elsewhere the slab is, if it holds one crossing, and the
     estimate is kept if not (the slab also holds the truncation artifact).
+    Returns the roots and counts: first-stencil certified, inverted, kept.
     """
     lo = np.maximum(e_lo, estimate - delta)
     hi = np.minimum(e_hi, estimate + delta)
-    every = np.arange(len(estimate))
-    t_lo, t_hi = phase_of(every)(np.stack([lo, hi]))
+    t_lo, t_hi, t_m, t_p = phase_of(np.arange(len(estimate)))(np.stack(
+        [lo, hi, estimate - 0.5 * tol, estimate + 0.5 * tol]))
     k_lo = np.floor(t_lo / math.pi + 1e-12)
     k_hi = np.floor(t_hi / math.pi + 1e-12)
     tight = k_hi - k_lo == 1
@@ -345,13 +352,15 @@ def _polish(phase_of, estimate, e_lo, e_hi, p_lo, p_hi, delta, tol):
     slab = ~tight & (k_slab - np.floor(p_lo / math.pi + 1e-12) == 1)
     lo, t_lo = np.where(slab, e_lo, lo), np.where(slab, p_lo, t_lo)
     hi, t_hi = np.where(slab, e_hi, hi), np.where(slab, p_hi, t_hi)
-    k_hi = np.where(slab, k_slab, k_hi)
+    target = np.where(slab, k_slab, k_hi) * math.pi
     c = np.nonzero(tight | slab)[0]
     roots = estimate.copy()
-    if len(c):
-        roots[c] = prufer.bisect(phase_of(c), lo[c], hi[c], k_hi[c] * math.pi,
-                                 tol, ends=(t_lo[c], t_hi[c]))
-    return roots
+    below, above = prufer.bisect(
+        phase_of(c), lo[c], hi[c], target[c], tol, guess=estimate[c],
+        ends=(t_lo[c], t_hi[c], t_m[c], t_p[c]), bracket=True)
+    roots[c] = 0.5 * (below + above)
+    certified = np.sum((t_m[c] < target[c]) & (t_p[c] >= target[c]))
+    return roots, (certified, np.sum(below > above), len(roots) - len(c))
 
 
 def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
@@ -362,18 +371,16 @@ def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
     Single-offset queries run at a tight integrator tolerance so a found
     root reproduces |sin theta(0)| below 1e-10 on recheck.
     """
-    roots = _window_scan(spec, gap, np.array([float(xi)]), L, RIGHT,
-                         mu_tol=tol, rtol=rtol)
-    return roots[0].tolist()
+    return _window_scan(spec, gap, np.array([float(xi)]), L, RIGHT,
+                        mu_tol=tol, rtol=rtol)[0].tolist()
 
 
 def left_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
                           L: float = 60.0, *, tol: float = 1e-10,
                           rtol: float = 1e-12) -> list[float]:
     """Mirror image: eigenvalues of the right half-line operator in the gap."""
-    roots = _window_scan(spec, gap, np.array([float(xi)]), L, LEFT,
-                         mu_tol=tol, rtol=rtol)
-    return roots[0].tolist()
+    return _window_scan(spec, gap, np.array([float(xi)]), L, LEFT,
+                        mu_tol=tol, rtol=rtol)[0].tolist()
 
 
 def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
@@ -441,12 +448,6 @@ def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
     return finished, ambiguous
 
 
-def _extrapolate(x0, y0, x1, y1, target):
-    if y1 == y0:
-        return x1
-    return x1 + (target - y1) * (x1 - x0) / (y1 - y0)
-
-
 def _curve_events(side: str, raw: dict, xis: np.ndarray, gap: Gap,
                   dxi: float):
     """Edge events of an assembled curve of two or more samples, with its
@@ -465,8 +466,8 @@ def _curve_events(side: str, raw: dict, xis: np.ndarray, gap: Gap,
         band = max(4.0 * abs(slope) * dxi, 0.08 * gap.width)
         if not _near_edge(cmu[end], gap, edge, band):
             return None
-        return _extrapolate(cxi[inner], cmu[inner], cxi[end], cmu[end],
-                            _edge_energy(gap, edge))
+        rise = _edge_energy(gap, edge) - cmu[end]
+        return cxi[end] + (rise / slope if slope else 0.0)
 
     starts_inside = cxi[0] > xis[0] + 0.5 * dxi
     ends_inside = cxi[-1] < xis[-1] - 0.5 * dxi
@@ -482,13 +483,14 @@ def _curve_events(side: str, raw: dict, xis: np.ndarray, gap: Gap,
 
 def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
                dxi: float, L: float = 60.0, *, sides=(RIGHT,),
-               mu_tol: float = 1e-8, rtol: float = 1e-8,
+               mu_tol: float = 1e-7, rtol: float = 1e-8,
                max_halvings: int = 3) -> list[DirichletCurve]:
     """Assemble the Dirichlet-value curves over an offset sweep.
 
     The offset step is halved (up to max_halvings times) whenever the
     continuation is ambiguous or a curve moves more than 20% of the gap
-    width per step.
+    width per step.  mu_tol is ten times rtol, as in beta: the phase noise
+    of a pass moves the values by about that, which finer polishing splits.
     """
     if not xi_to > xi_from:
         raise ValueError("need xi_from < xi_to")
@@ -537,7 +539,7 @@ def _refine_root_near(spec, gap, xi, mu_guess, side, L, *, tol, rtol,
     target = round(float(th[2]) / math.pi) * math.pi
     if not (min(th[0], th[1]) < target <= max(th[0], th[1])):
         lo, hi = lo_t, hi_t  # fall back to the full trimmed gap
-    below, above = _phase_order(lo, hi, side)
+    below, above = (lo, hi) if side == RIGHT else (hi, lo)
     return float(prufer.bisect(
         lambda e: _scan_theta_at_zero(spec, e, xi, L, side, rtol),
         below, above, target, tol))
@@ -679,6 +681,9 @@ def mu_tilde(spec: PotentialSpec, gap: Gap, xi: float, L: float = 60.0,
 def _min_jump_lift(raw: np.ndarray) -> np.ndarray:
     d = np.diff(raw)
     d = d - TWO_PI * np.round(d / TWO_PI)
+    # counted, not raised: a fold near pi may have taken the wrong branch
+    log.debug("phase_lift: largest folded step %.3g rad, %d above pi/2",
+              np.max(np.abs(d), initial=0.0), np.sum(np.abs(d) > 0.5 * math.pi))
     return raw[0] + np.concatenate([[0.0], np.cumsum(d)])
 
 

@@ -20,7 +20,8 @@ pass can land on a monotone array of points on its way, returning theta at
 each, and carries theta modulo pi between them, so the error control does
 not loosen along a long pass.  Every question of the form "where does theta
 cross a target" is answered by the one vectorized bracketed search
-`bisect` (ITP: interpolation, truncation, projection).
+`bisect`: ITP steps, or Newton steps from two-point stencils when one pass
+evaluates all points.
 """
 
 from __future__ import annotations
@@ -288,59 +289,77 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     return _cash_karp(rhs, norm, x_start, x_end, th, max_step=max_step)[0]
 
 
-def bisect(theta_of, below, above, target, tol: float,
-           ends=None) -> np.ndarray:
-    """Points where theta_of crosses target, by a joint ITP search of brackets.
+def bisect(theta_of, below, above, target, tol: float, ends=None,
+           guess=None, bracket: bool = False):
+    """Points where theta_of crosses target, by a joint search of brackets.
 
     theta_of maps an array of points to an array of phases; below, above and
     target broadcast.  `below` is the bracket end where theta < target and
     `above` the end where theta >= target, in either order on the line, so
     an increasing and a decreasing phase are both just an order of the ends.
-    The search is ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; kappa1 =
-    0.2 / width, kappa2 = 2): each step takes the regula-falsi point,
-    truncated toward the midpoint and projected into the ball that keeps
-    bisection's guarantee.  After one evaluation of the ends and at most
-    ceil(log2(width / tol)) steps (n0 = 0), width being the widest bracket,
-    every bracket is at most tol wide and its midpoint is returned, within
-    tol / 2 of a crossing: at most one evaluation more than bisection.
-    ends, when the caller has them, are the phases at below and above; the
-    evaluation they save becomes one more step of slack (n0 = 1).  Negating
-    the bracket negates the result exactly.
+    Each step projects an interpolation point into the ball that keeps
+    bisection's guarantee (ITP: Oliveira & Takahashi, ACM TOMS 47, 2020;
+    kappa1 = 0.2 / width, kappa2 = 2): after one evaluation of the ends and
+    at most ceil(log2(width / tol)) steps (n0 = 0), width being the widest
+    bracket, every bracket is at most tol wide and its midpoint, returned,
+    within tol / 2 of a crossing.  Without a guess a step evaluates one
+    point, the truncated regula-falsi one, for a theta_of that pays per
+    point.  A first guess is for a theta_of whose points share one pass, so
+    one smooth phase: a step evaluates the stencil x -/+ tol / 2 (toward
+    below / above; the guess's goes with the ends), which straddles the
+    target, leaving a bracket tol wide, or moves an end and gives the
+    Newton point of the next step.  A point past an end that reads against
+    it (passes disagree) inverts the bracket and ends its search.  ends,
+    when the caller has them, are the phases of the first evaluation, and
+    add a step of slack (n0 = 1).  bracket returns the final (below, above)
+    instead.  Negating the bracket negates the result exactly.
     """
     below, above, target = np.broadcast_arrays(
         np.asarray(below, dtype=float), np.asarray(above, dtype=float), target)
     if below.size == 0:
-        return np.empty(below.shape)
+        return (below, above) if bracket else np.empty(below.shape)
     width = float(np.max(np.abs(above - below)))
-    # the one evaluation allowed beyond bisection goes to the ends, or, when
-    # the caller has them, to the projection's slack (n0 = 1)
     n_max = (max(1, math.ceil(math.log2(max(width / tol, 2.0))))
              + (ends is not None))
     kappa1 = 0.2 / max(width, tol)
+    toward = np.sign(above - below)
+    half = 0.5 * tol * toward
+    pts = [below, above] + ([] if guess is None else
+                            [guess - half, guess + half])
     if ends is None:
-        ends = theta_of(np.stack([below, above]))
-    f_below, f_above = (np.asarray(t, dtype=float) - target for t in ends)
-    for step in range(n_max):
-        span = np.abs(above - below)
-        if np.all(span <= tol):
+        ends = theta_of(np.stack(pts))
+    f_below, f_above, *vals = (np.asarray(t, dtype=float) - target
+                               for t in ends)
+    pts = pts[2:]
+    live = np.ones(below.shape, dtype=bool)
+    for step in range(n_max + 1):
+        for x, fx in zip(pts, vals):  # the last evaluation moves the ends
+            low = live & (fx < 0) & (toward * (x - below) > 0)
+            high = live & (fx >= 0) & (toward * (above - x) > 0)
+            below, f_below = np.where(low, x, below), np.where(low, fx, f_below)
+            above, f_above = np.where(high, x, above), np.where(high, fx, f_above)
+        span = toward * (above - below)
+        # done: at most tol wide, up to the rounding of a stencil, or inverted
+        live = span > tol + 2.0 * np.spacing(np.abs(below) + np.abs(above))
+        if step == n_max or not np.any(live):
             break
+        span = np.abs(span)
         mid = 0.5 * (below + above)
+        a, b, fa, fb = ((pts[0], pts[1], vals[0], vals[1]) if guess is not None
+                        else (below, above, f_below, f_above))
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_f = (above * f_below - below * f_above) / (f_below - f_above)
+            x_f = (b * fa - a * fb) / (fa - fb)
         x_f = np.where(np.isfinite(x_f), np.clip(
             x_f, np.minimum(below, above), np.maximum(below, above)), mid)
         sigma = np.sign(mid - x_f)
-        delta = kappa1 * span * span
-        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        if guess is None:  # truncation keeps regula falsi from stalling
+            delta = kappa1 * span * span
+            x_f = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = 0.5 * tol * 2.0 ** (n_max - step) - 0.5 * span
-        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
-        fx = theta_of(x) - target
-        low = fx < 0
-        below = np.where(low, x, below)
-        f_below = np.where(low, fx, f_below)
-        above = np.where(low, above, x)
-        f_above = np.where(low, f_above, fx)
-    return 0.5 * (below + above)
+        x = np.where(np.abs(x_f - mid) <= radius, x_f, mid - sigma * radius)
+        pts = [x] if guess is None else [x - half, x + half]
+        vals = list(theta_of(np.stack(pts)) - target)
+    return (below, above) if bracket else 0.5 * (below + above)
 
 
 def _seed_kappa(spec: PotentialSpec, energy, offset, x_anchor, window: float):

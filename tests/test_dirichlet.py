@@ -1,5 +1,7 @@
 import cmath
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,10 +333,33 @@ def test_one_offset_window_artifact_in_gap(mathieu, gap1):
     assert localized == []
 
 
+def test_window_scan_and_phase_lift_log_at_debug_level(caplog, mathieu,
+                                                       gap1):
+    xis = dirichlet._xi_grid(0.0, 2.0 * math.pi, 0.1)
+    with caplog.at_level(logging.DEBUG, logger="gaplab.dirichlet"):
+        flow = dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.1,
+                                    30.0, sides=(dirichlet.RIGHT,
+                                                 dirichlet.LEFT))
+        dirichlet.phase_lift(flow, gap1, xis, "two_sided")
+    scans = re.findall(
+        r"window scan \((\w+)\): (\d+) passes, (\d+) crossings, (\d+) "
+        r"certified by the first stencil, (\d+) inverted brackets, (\d+) "
+        r"estimates kept unpolished", caplog.text)
+    assert [scan[0] for scan in scans] == [dirichlet.RIGHT, dirichlet.LEFT]
+    for passes, crossings, certified, inverted, kept in (
+            map(int, scan[1:]) for scan in scans):
+        assert 3 <= passes <= 5
+        assert crossings > 0 and certified + kept <= crossings
+        assert inverted == 0
+    assert re.search(r"phase_lift: largest folded step \S+ rad, 0 above pi/2",
+                     caplog.text)
+
+
 @pytest.mark.parametrize("side", [dirichlet.RIGHT, dirichlet.LEFT])
 def test_trace_flow_pass_count(mathieu, gap1, monkeypatch, side):
-    # one window pass, one bracket check and the polishing steps; the
-    # per-offset bisection took 31 passes per side on these inputs
+    # one window pass, one pass with the polishing brackets and the first
+    # stencils, and the Newton steps (4 passes in all on these inputs); the
+    # per-offset bisection took 31 passes per side, ITP polishing 9
     calls = []
     theta_grid = prufer.theta_grid
 
@@ -346,4 +371,4 @@ def test_trace_flow_pass_count(mathieu, gap1, monkeypatch, side):
     flow = dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.05,
                                 60.0, sides=(side,))
     assert len(flow) == 1
-    assert len(calls) <= 15
+    assert len(calls) <= 5

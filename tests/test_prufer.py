@@ -153,6 +153,50 @@ def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
     assert np.all(theta_left(mirrored + 1e-7) < targets)
 
 
+def _counted(theta):
+    calls = []
+
+    def theta_of(x):
+        calls.append(np.shape(x))
+        return theta(x)
+
+    return theta_of, calls
+
+
+def test_bisect_stencil_certifies_smooth_roots_in_one_step():
+    # a smooth monotone phase, all points in one evaluation: the Newton
+    # point of the guess's stencil lands within tol / 2 of every root, so
+    # one more evaluation ends each search on a straddling stencil
+    roots = np.linspace(-0.9, 0.9, 7)
+    tol = 1e-7
+
+    def theta(e):
+        d = e - roots
+        return np.sinh(d) + 0.3 * d * d
+
+    theta_of, calls = _counted(theta)
+    below, above = prufer.bisect(theta_of, roots - 0.5, roots + 0.7, 0.0, tol,
+                                 guess=roots + 1e-4, bracket=True)
+    assert calls == [(4, 7), (2, 7)]
+    assert np.allclose(above - below, tol, rtol=1e-6)
+    assert np.all(theta(below) < 0.0) and np.all(theta(above) >= 0.0)
+    assert np.all(np.abs(0.5 * (below + above) - roots) <= 0.5 * tol)
+
+
+@pytest.mark.parametrize("guess", [None, 0.3])
+def test_bisect_step_like_phase_stays_within_itp_bound(guess):
+    # a phase that jumps by pi within 1e-12 gives Newton no usable slope;
+    # the projection keeps the worst case at one evaluation of the ends
+    # and ceil(log2(width / tol)) steps
+    root, tol = 0.123456789, 1e-9
+    theta_of, calls = _counted(lambda e: np.arctan((e - root) / 1e-12))
+    below, above = prufer.bisect(theta_of, -1.0, 1.0, 0.0, tol, guess=guess,
+                                 bracket=True)
+    assert len(calls) <= 1 + math.ceil(math.log2(2.0 / tol))
+    assert 0.0 < above - below <= tol
+    assert below < root <= above
+
+
 def test_wronskian_constant_free_below_spectrum():
     spread = prufer.wronskian_check(ZERO, -1.0, 0.0, 40.0)
     assert spread < 1e-8

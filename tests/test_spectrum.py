@@ -87,6 +87,28 @@ def test_dirichlet_eigenvalues_match_scalar_bisection(mathieu):
     assert np.max(np.abs(ours - ref)) <= 1e-9
 
 
+def test_float_path_searches_evaluate_no_more_energies(mathieu,
+                                                      monkeypatch):
+    # every energy of _theta_end is a pass of its own, so these searches
+    # keep one point per step (no stencil); the counts are those of the
+    # single-point ITP search
+    energies = []
+    theta_end = spectrum._theta_end
+
+    def counted(*args):
+        energies.append(np.size(args[4]))
+        return theta_end(*args)
+
+    monkeypatch.setattr(spectrum, "_theta_end", counted)
+    spectrum.dirichlet_eigenvalues(mathieu, -10.0, 10.0, 0.0, -1.0, 2.0)
+    assert sum(energies) <= 206
+    energies.clear()
+    gaps = spectrum.detect_gaps(mathieu, -2.0, 2.0, resolution=0.05,
+                                chain=WindowChain.geometric(25.0, 1.6, 2))
+    assert len(gaps) == 2
+    assert sum(energies) <= 72
+
+
 def test_ids_free_particle():
     res = spectrum.ids(ZERO, 1.0)
     assert abs(res.value - 1.0 / math.pi) < 2e-3
