@@ -5,19 +5,22 @@ At a gap energy E the half-line operator on (-infinity, xi] has the
 eigenvalue E exactly when the left-decaying solution of the untranslated
 operator vanishes at x = xi (the zero-set identity of Johnson and Moser), so
 one forward pass per energy gives the boundary phase at every offset of a
-window at once (left values: the mirror pass, backward).  `_window_scan`
-runs one such pass for each Chebyshev-Lobatto energy of the margin-trimmed
-gap and for the two gap edges; since the phase is strictly monotone in E,
-the multiples of pi it passes between adjacent energies count the values in
-that slab exactly, a Chebyshev interpolant in E estimates each one, and a
-bracketed search polishes it.
+window at once; the left values are the right values of the mirror image
+V(-x + xi), in the same forward pass.  `_window_scan` runs one such pass
+for each Chebyshev-Lobatto energy of the margin-trimmed gap and for the two
+gap edges; since the phase is strictly monotone in E, the multiples of pi
+it passes between adjacent energies count the values in that slab exactly,
+and a Chebyshev interpolant in E estimates each one, mostly so closely that
+the first stencil of the bracketed search, one more pass, certifies it.
 
 The offsets are cut into blocks of at most L / 2.  A block's pass starts L
 before its first offset, and its seeded end carries a bound state of its
 own: one truncation artifact, at one energy for the whole block, which
 every landing point of the pass sees as the same extra pi-step.  It is
-removed by subtracting pi above that step.  Single-offset queries run the
-same scan on a one-offset window, with the truncation [xi - L, xi].
+removed by subtracting pi above that step; a value next to it is polished
+at a longer truncation, which moves the artifact away.  Single-offset
+queries run the same scan on a one-offset window, with the truncation
+[xi - L, xi].
 
 Curves mu(xi) are assembled from the per-offset root sets by nearest-value
 continuation (right curves fall, left curves rise, and curves of one family
@@ -54,9 +57,9 @@ LOWER = "lower"
 STABILITY_FACTOR = 1.5
 STABILITY_RESIDUAL = 1e-2
 
-N_ENERGIES = 33  # Chebyshev-Lobatto energies of a window scan
+N_ENERGIES = 129  # Chebyshev-Lobatto energies of a window scan
+ARTIFACT_STRIDE = 4  # every fourth is a coarse node (see _artifact_band)
 BLOCK = 0.5  # span of a window block, in units of L
-POLISH_WIDTH = 1e-3  # half-width of a polishing bracket, in gap widths
 # Landing points past the last offset of a block, in units of L.  They keep
 # the truncation artifact's pi-step the only one that every landing point
 # takes at one energy, even in a one-offset block; irrational fractions keep
@@ -137,34 +140,25 @@ def _xi_grid(xi_from: float, xi_to: float, dxi: float) -> np.ndarray:
     return np.linspace(xi_from, xi_to, n)
 
 
-def _scan_theta_at_zero(spec, energies, offsets, L, side, rtol):
-    """Boundary phase theta(0) of one side's half-line problem, for arrays of
-    (E, xi): the decaying seed plus one theta_grid pass.
-
-    theta(0) increases with E for RIGHT (forward from -L) and decreases with
-    E for LEFT (backward from +L).
-    """
-    x0, seeds = prufer.decaying_start(spec, energies, offsets, L, side)
-    return prufer.theta_grid(spec, energies, offsets, x0, 0.0, seeds,
-                             rtol=rtol, atol=rtol * 1e-2)
+def _scan_theta(spec, energies, offsets, L, side, rtol, landing=0.0):
+    """theta(0), or theta at landing points, rising with E: one forward pass
+    from -L per (E, xi) and side (one or an array), LEFT mirrored."""
+    mirror = np.asarray(side) == LEFT
+    seeds = prufer.seed_decaying_left(spec, energies, offsets, L, mirror)
+    return prufer.theta_grid(spec, energies, offsets, -L, landing, seeds,
+                             rtol=rtol, atol=rtol * 1e-2, mirror=mirror)
 
 
-def _lobatto(lo: float, hi: float) -> np.ndarray:
-    """The N_ENERGIES Chebyshev-Lobatto points of [lo, hi], ascending."""
-    t = np.cos(np.pi * np.arange(N_ENERGIES) / (N_ENERGIES - 1))
-    return 0.5 * (lo + hi) - 0.5 * (hi - lo) * t
-
-
-def _interpolant(nodes: np.ndarray, values: np.ndarray, kept: np.ndarray):
-    """Barycentric interpolant through the kept nodes of each row of values;
-    it maps an array of energies, one per row, to values."""
+def _interpolant(nodes, values, kept, rows):
+    """Barycentric interpolant through the nodes kept[rows] of each row of
+    values; it maps an array of energies, one per row, to values."""
     t = (2.0 * nodes - nodes[0] - nodes[-1]) / (nodes[-1] - nodes[0])
     gaps = t[:, None] - t[None, :]
     np.fill_diagonal(gaps, 1.0)
     w = np.where(kept, 1.0 / np.prod(np.where(kept[:, None, :], gaps, 1.0),
                                      axis=-1), 0.0)
-    w /= np.max(np.abs(w), axis=-1, keepdims=True)
-    values = np.where(kept, values, 0.0)
+    w = (w / np.max(np.abs(w), axis=-1, keepdims=True))[rows]
+    values = np.where(kept[rows], values, 0.0)
 
     def p(e):
         d = np.asarray(e, dtype=float)[..., None] - nodes
@@ -177,190 +171,190 @@ def _interpolant(nodes: np.ndarray, values: np.ndarray, kept: np.ndarray):
 
 @dataclass(frozen=True)
 class _Window:
-    """One side's window pass over a uniform offset grid (see _window_scan).
+    """The joint window pass of a scan's sides over a uniform offset grid.
 
-    The grid is cut into blocks of m offsets; block b starts its pass at
-    anchors[b] - L (RIGHT; LEFT mirrored) and lands on `landing`, relative
-    to its anchor: its m offsets, then the PROBES.  phase[j, i, b] is the
-    boundary phase at landing point j of block b and energy i, signed to
-    increase with E; the pi-step of block b's truncation artifact lies in
-    the slabs artifact[b] - 1 to artifact[b] + 1, or artifact[b] is -1 when
-    the block shows none (see _artifact_slab).
+    Each side's grid is cut into blocks of m offsets, one column each.  A
+    column starts at x = -L and lands on `landing`: m points dx apart, then
+    the PROBES.  A RIGHT column sees V(x + anchor) and lands on the offsets
+    anchor + x, a LEFT one V(-x + anchor) and anchor - x.  index[j, c] is
+    the offset of landing point j of column c (-1 past the grid), phase[j,
+    i, c] the boundary phase there at energy i, artifact[:, c] its band.
     """
 
-    index: np.ndarray     # index[b * m + j]: the offset at landing point j
+    side: np.ndarray
+    index: np.ndarray
     anchors: np.ndarray
     landing: np.ndarray
     energies: np.ndarray
     phase: np.ndarray
     artifact: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return len(self.landing) - len(PROBES)
-
 
 def _window_pass(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
-                 L: float, side: str, rtol: float) -> _Window:
-    """One pass per energy over every block of the offset grid, all in one
-    theta_grid call.  The energies are the Chebyshev-Lobatto points of the
-    trimmed gap between the two gap edges, so that an artifact next to a
-    trimmed edge still shows its whole step."""
+                 L: float, sides, rtol: float) -> _Window:
+    """One forward pass per energy over every block of every side, in one
+    theta_grid call, at the Chebyshev-Lobatto points of the trimmed gap and
+    at the gap edges, where an artifact next to a trimmed edge ends."""
     offsets = np.asarray(offsets, dtype=float)
     n = len(offsets)
-    s = 1.0 if side == RIGHT else -1.0
-    index = np.arange(n) if side == RIGHT else np.arange(n)[::-1]
     dx = abs(float(offsets[-1] - offsets[0])) / max(n - 1, 1)
     m = n if n == 1 else min(n, int(BLOCK * L / dx) + 1)
-    anchors = offsets[index[::m]]
-    local = s * dx * np.arange(m)
-    landing = np.concatenate([local, local[-1] + s * L * np.array(PROBES)])
-    energies = np.concatenate([[gap.e_lower], _lobatto(*gap.trimmed()),
-                               [gap.e_upper]])[:, None]
-    x0, seeds = prufer.decaying_start(spec, energies, anchors, L, side)
-    phase = s * prufer.theta_grid(spec, energies, anchors, x0, landing, seeds,
-                                  rtol=rtol, atol=rtol * 1e-2)
-    return _Window(index=index, anchors=anchors,
-                   landing=landing, energies=energies[:, 0], phase=phase,
-                   artifact=_artifact_slab(np.diff(phase, axis=1)))
+    side = np.repeat(sides, -(-n // m))
+    pos = np.arange(m)[:, None] + np.tile(np.arange(0, n, m), len(sides))
+    index = np.where(pos >= n, -1, np.where(side == LEFT, n - 1 - pos, pos))
+    landing = dx * np.arange(m + len(PROBES))
+    landing[m:] = landing[m - 1] + L * np.array(PROBES)
+    lo, hi = gap.trimmed()
+    t = np.cos(np.pi * np.arange(N_ENERGIES) / (N_ENERGIES - 1))
+    energies = np.r_[gap.e_lower, 0.5 * (lo + hi) - 0.5 * (hi - lo) * t,
+                     gap.e_upper][:, None]
+    anchors = offsets[index[0]]
+    phase = _scan_theta(spec, energies, anchors, L, side, rtol, landing)
+    return _Window(side=side, index=index, anchors=anchors, landing=landing,
+                   energies=energies[:, 0], phase=phase,
+                   artifact=_artifact_band(phase))
 
 
-def _artifact_slab(rise: np.ndarray) -> np.ndarray:
-    """The slab of each block's truncation artifact, or -1.
+def _artifact_band(phase: np.ndarray) -> np.ndarray:
+    """The nodes (a, t) between which each column's truncation artifact
+    lies, or (N, N), past the last node, where a column shows none.
 
-    rise[j, i, b] is the phase rise of landing point j of block b across
-    slab i.  The artifact raises the phase of every landing point of a block
-    by pi at one energy, sharply except near a gap edge, where the step
-    spreads into the neighbouring slabs, and at a node it splits between
-    two.  So its slab is the one around which the rise over three slabs is
-    largest at the landing point where it is least, taken to be the artifact
-    when that least rise is at least pi / 2.  A Dirichlet curve would need a
-    value within those three slabs at every landing point, the PROBES too,
-    to pass for it.
+    The artifact raises the phase of every landing point of a column by pi
+    at one energy, sharply except near a gap edge, where the step spreads,
+    and at a node it splits between two.  So on the coarse nodes its slab is
+    the one around which the rise over three slabs is largest at the
+    landing point where it is least, if that least rise is at least pi / 2:
+    a Dirichlet curve would need a value in those three slabs at every
+    landing point, the PROBES too, to pass for it.  Away from the gap edges
+    a sharp step rises nearly pi over three fine slabs, which then bound it.
     """
-    padded = np.pad(rise, ((0, 0), (1, 1), (0, 0)))
+    n = phase.shape[1]
+    coarse = np.r_[0, 1:n - 1:ARTIFACT_STRIDE, n - 1]
+    padded = np.pad(np.diff(phase[:, coarse], axis=1), [(0,), (1,), (0,)])
     least = np.min(padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:], axis=0)
-    found = least >= 0.5 * math.pi                     # (slab, block)
+    found = least >= 0.5 * math.pi                     # (slab, column)
     runs = np.sum(np.diff(found.astype(int), axis=0) == 1, axis=0) + found[0]
     if np.any(runs > 1):
         raise FlowResolutionError(
             "truncation artifact not told apart from a Dirichlet curve")
-    return np.where(np.any(found, axis=0), np.argmax(least, axis=0), -1)
+    slab = np.clip(np.argmax(least, axis=0) + [[-1], [2]], 0, len(coarse) - 1)
+    band = np.where(np.any(found, axis=0), coarse[slab], n)
+    fine = np.min(phase[:, 3:] - phase[:, :-3], axis=0)   # (node, column)
+    start = np.arange(n - 3)[:, None]
+    inner = np.where((band[0] > 0) & (band[1] < n - 1), band[0], n)
+    fine[(start < inner) | (start + 3 > band[1])] = -np.inf
+    a = np.argmax(fine, axis=0)
+    return np.where(fine[a, np.arange(len(a))] >= 0.9 * math.pi, [a, a + 3],
+                    band)
 
 
 def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
-                 L: float, side: str, *, mu_tol: float,
-                 rtol: float) -> list[np.ndarray]:
-    """Dirichlet values in the trimmed gap at every offset of a uniform grid.
+                 L: float, sides, *, mu_tol: float,
+                 rtol: float) -> dict[str, list[np.ndarray]]:
+    """Each side's Dirichlet values in the trimmed gap at every grid offset.
 
-    The grid is cut into blocks of at most BLOCK * L, so no value is
-    computed on more than (1 + BLOCK) L of half-line, and one call runs the
-    passes of all blocks (_window_pass).  The artifact of a block is the
-    pi-step that every landing point of the block takes at one energy, the
-    offsets and the PROBES alike (_artifact_slab); subtracting pi above it
-    leaves the genuine crossings.  Each is estimated from the Chebyshev
-    interpolant of the corrected phase and polished on its block's own
-    pass, to mu_tol, by stencil Newton steps (_polish), and logged at debug
-    level.  Returns one ascending array per offset.
+    The uniform grid is cut into blocks of at most BLOCK * L, so no value is
+    computed on more than (1 + BLOCK) L of half-line, and one forward pass
+    runs the blocks of all sides (_window_pass).  Subtracting pi above the
+    artifact of a block (_artifact_band) leaves the genuine crossings.  Each
+    is estimated from the Chebyshev interpolant of the corrected phase and
+    polished on its block's own pass, to mu_tol, by stencil Newton steps
+    (_polish), and logged at debug level.  Returns, per side, one ascending
+    array per offset.
     """
-    w = _window_pass(spec, gap, offsets, L, side, rtol)
-    n, m, energies = len(offsets), w.m, w.energies
-    # remove the artifact: its step lies between the nodes a and t of its
-    # three slabs; pi comes off every node from t up, the nodes between are
-    # left out, and the slab from a to t counts as one.  The step's tails
-    # can leave a dip, which the running maximum of the multiples passed
-    # does not count twice.
+    w = _window_pass(spec, gap, offsets, L, sides, rtol)
+    n, m, energies = len(offsets), len(w.index), w.energies
+    # remove the artifact: its step lies between the nodes a and t; pi
+    # comes off every node from t up, the nodes between are left out, and
+    # the slab from a to t counts as one.  The step's tails can leave a dip,
+    # which the running maximum of the multiples passed does not count twice.
     nodes = np.arange(len(energies))[:, None]
-    found = w.artifact >= 0
-    a = np.where(found, np.maximum(w.artifact - 1, 0), len(energies))
-    t = np.where(found, np.minimum(w.artifact + 2, len(energies) - 1),
-                 len(energies))
-    counted = (nodes <= a) | (nodes >= t)              # (node, block)
-    kept = counted.copy()
-    kept[[0, -1]] = False  # the gap edges bound the artifact only
+    a, t = w.artifact
+    counted = (nodes <= a) | (nodes >= t)              # (node, column)
+    # the gap edges bound the artifact only; a spread one leaves a hole so
+    # wide that only the coarse nodes interpolate across it
+    kept = counted & (nodes % (len(energies) - 1) != 0)
+    kept &= (t - a <= 3) | (nodes % ARTIFACT_STRIDE == 1)
     corrected = w.phase[:m] - math.pi * (nodes >= t)
     level = np.where(counted, corrected, -np.inf)
     kc = np.floor(np.maximum.accumulate(level, axis=1) / math.pi + 1e-12)
 
-    # one entry per genuine crossing: landing point j of block b, between
-    # the nodes lo and hi
-    j, i, b = np.nonzero(np.diff(kc, axis=1) >= 1)
-    merged = (i >= a[b]) & (i < t[b])
-    lo_node = np.where(merged, a[b], i)
-    hi_node = np.where(merged, t[b], i + 1)
-    keep = ((b * m + j < n) & (hi_node > 1)
+    # one entry per genuine crossing: landing point j of column c, between
+    # the nodes lo and hi, which span the artifact's slabs if it shares one
+    j, i, c = np.nonzero(np.diff(kc, axis=1) >= 1)
+    merged = (i >= a[c]) & (i < t[c])
+    lo_node = np.where(merged, a[c], i)
+    hi_node = np.where(merged, t[c], i + 1)
+    keep = ((w.index[j, c] >= 0) & (hi_node > 1)
             & (lo_node < len(energies) - 2))           # not in a margin
-    j, i, b, lo_node, hi_node = (v[keep] for v in (j, i, b, lo_node, hi_node))
+    j, i, c, lo_node, hi_node = (v[keep] for v in (j, i, c, lo_node, hi_node))
     if len(j) == 0:
-        return [np.empty(0) for _ in range(n)]
+        return {side: [np.empty(0)] * n for side in sides}
+    shared = hi_node - lo_node > 1
     estimate = prufer.bisect(
-        _interpolant(energies, corrected[j, :, b], kept[:, b].T),
-        energies[lo_node], energies[hi_node], (kc[j, i, b] + 1.0) * math.pi,
+        _interpolant(energies, corrected[j, :, c], kept.T, c),
+        energies[lo_node], energies[hi_node], (kc[j, i, c] + 1.0) * math.pi,
         1e-3 * mu_tol)
-    s = 1.0 if side == RIGHT else -1.0
     passes = [1]
 
-    def phase_of(c):
-        """The phase of crossings c on their own passes, as a function of E."""
-        def f(e):
-            passes[0] += 1
-            x0, seeds = prufer.decaying_start(spec, e, w.anchors[b[c]], L,
-                                              side)
-            th = prufer.theta_grid(spec, e, w.anchors[b[c]], x0,
-                                   w.landing[:np.max(j[c]) + 1], seeds,
-                                   rtol=rtol, atol=rtol * 1e-2)
-            at = np.broadcast_to(j[c], np.shape(e))[..., None]
-            return s * np.take_along_axis(np.moveaxis(th, 0, -1), at,
-                                          -1)[..., 0]
-        return f
+    def phase(e, k, moved):
+        """The phase of crossings k at energies e on their own passes; moved
+        ones at a truncation PROBES[0] * L longer, which moves the artifact."""
+        passes[0] += 1
+        s = np.where(moved, PROBES[0] * L, 0.0)
+        anchors = w.anchors[c[k]] + np.where(w.side[c[k]] == LEFT, s, -s)
+        landing, at = np.unique(w.landing[j[k]] + s, return_inverse=True)
+        th = _scan_theta(spec, e, anchors, L, w.side[c[k]], rtol, landing)
+        return np.take_along_axis(th, at[None, None], 0)[0]
 
-    lo, hi = gap.trimmed()
-    roots, counts = _polish(phase_of, estimate, energies[lo_node],
-                            energies[hi_node], w.phase[j, lo_node, b],
-                            w.phase[j, hi_node, b], POLISH_WIDTH * (hi - lo),
-                            mu_tol)
+    roots, counts = _polish(phase, estimate, energies[lo_node],
+                            energies[hi_node], shared, mu_tol)
     log.debug("window scan (%s): %d passes, %d crossings, %d certified by "
-              "the first stencil, %d inverted brackets, %d estimates kept "
-              "unpolished", side, passes[0], len(j), *counts)
-    out = [[] for _ in range(n)]
-    for idx, mu in zip(w.index[b * m + j], roots):
+              "the first stencil, %d inverted brackets, %d polished at the "
+              "second truncation, %d estimates kept unpolished",
+              ", ".join(sides), passes[0], len(j), *counts)
+    out = {side: [[] for _ in range(n)] for side in sides}
+    lo, hi = gap.trimmed()
+    for side, k, mu in zip(w.side[c], w.index[j, c], roots):
         if lo <= mu <= hi:
-            out[idx].append(float(mu))
-    return [np.array(sorted(v)) for v in out]
+            out[side][k].append(float(mu))
+    return {side: [np.array(sorted(v)) for v in vals]
+            for side, vals in out.items()}
 
 
-def _polish(phase_of, estimate, e_lo, e_hi, p_lo, p_hi, delta, tol):
+def _polish(phase, estimate, e_lo, e_hi, shared, tol):
     """Polish crossings of multiples of pi by an increasing phase.
 
-    phase_of(c) is the phase of crossings c as a function of their
-    energies; [e_lo, e_hi] is each estimate's slab and p_lo, p_hi the phase
-    at its ends.  One pass takes the phase delta either side of every
-    estimate, and tol / 2 either side, the first stencil of prufer.bisect:
-    where the two outer ones straddle one multiple of pi, that bracket is
-    searched; elsewhere the slab is, if it holds one crossing, and the
-    estimate is kept if not (the slab also holds the truncation artifact).
-    Returns the roots and counts: first-stencil certified, inverted, kept.
+    phase(e, c, moved) is the phase of crossings c at energies e, at the
+    scan's truncation or, where moved, at a longer one, which moves the
+    artifact away.  One pass takes it at the ends of each estimate's slab
+    [e_lo, e_hi] and tol / 2 either side of the estimate (bisect's first
+    stencil): at the longer truncation where the slab is shared with the
+    artifact, whose nearness also shifts a value, and else at the scan's.
+    A slab that holds one multiple of pi is searched; a shared one that
+    does not at the longer truncation falls back to the scan's, and else
+    its estimate is kept.  Returns the roots and counts: certified by the
+    first stencil, inverted, moved, kept.
     """
-    lo = np.maximum(e_lo, estimate - delta)
-    hi = np.minimum(e_hi, estimate + delta)
-    t_lo, t_hi, t_m, t_p = phase_of(np.arange(len(estimate)))(np.stack(
-        [lo, hi, estimate - 0.5 * tol, estimate + 0.5 * tol]))
-    k_lo = np.floor(t_lo / math.pi + 1e-12)
-    k_hi = np.floor(t_hi / math.pi + 1e-12)
-    tight = k_hi - k_lo == 1
-    k_slab = np.floor(p_hi / math.pi + 1e-12)
-    slab = ~tight & (k_slab - np.floor(p_lo / math.pi + 1e-12) == 1)
-    lo, t_lo = np.where(slab, e_lo, lo), np.where(slab, p_lo, t_lo)
-    hi, t_hi = np.where(slab, e_hi, hi), np.where(slab, p_hi, t_hi)
-    target = np.where(slab, k_slab, k_hi) * math.pi
-    c = np.nonzero(tight | slab)[0]
+    n = len(estimate)
+    both = np.concatenate([np.arange(n), np.nonzero(shared)[0]])
+    moved = np.arange(len(both)) >= n
+    ends = phase(np.stack([e_lo, e_hi, estimate - 0.5 * tol,
+                           estimate + 0.5 * tol])[:, both], both, moved)
+    k = np.floor(ends[:2] / math.pi + 1e-12)
+    one = k[1] - k[0] == 1
+    alt = n - 1 + np.cumsum(shared)  # a shared crossing's moved entry
+    pick = np.where(shared & one[alt], alt, range(n))
+    ends, k, moved, one = (v[..., pick] for v in (ends, k, moved, one))
+    c = np.nonzero(one)[0]
+    target = k[1, c] * math.pi
     roots = estimate.copy()
     below, above = prufer.bisect(
-        phase_of(c), lo[c], hi[c], target[c], tol, guess=estimate[c],
-        ends=(t_lo[c], t_hi[c], t_m[c], t_p[c]), bracket=True)
+        lambda e, rows: phase(e, c[rows], moved[c[rows]]), e_lo[c], e_hi[c],
+        target, tol, guess=estimate[c], ends=tuple(ends[:, c]), bracket=True)
     roots[c] = 0.5 * (below + above)
-    certified = np.sum((t_m[c] < target[c]) & (t_p[c] >= target[c]))
-    return roots, (certified, np.sum(below > above), len(roots) - len(c))
+    certified = np.sum((ends[2, c] < target) & (ends[3, c] >= target))
+    return roots, (certified, np.sum(below > above), np.sum(moved), n - len(c))
 
 
 def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
@@ -371,16 +365,16 @@ def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
     Single-offset queries run at a tight integrator tolerance so a found
     root reproduces |sin theta(0)| below 1e-10 on recheck.
     """
-    return _window_scan(spec, gap, np.array([float(xi)]), L, RIGHT,
-                        mu_tol=tol, rtol=rtol)[0].tolist()
+    return _window_scan(spec, gap, np.array([float(xi)]), L, (RIGHT,),
+                        mu_tol=tol, rtol=rtol)[RIGHT][0].tolist()
 
 
 def left_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
                           L: float = 60.0, *, tol: float = 1e-10,
                           rtol: float = 1e-12) -> list[float]:
     """Mirror image: eigenvalues of the right half-line operator in the gap."""
-    return _window_scan(spec, gap, np.array([float(xi)]), L, LEFT,
-                        mu_tol=tol, rtol=rtol)[0].tolist()
+    return _window_scan(spec, gap, np.array([float(xi)]), L, (LEFT,),
+                        mu_tol=tol, rtol=rtol)[LEFT][0].tolist()
 
 
 def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
@@ -497,11 +491,12 @@ def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
     step = float(dxi)
     for _ in range(max_halvings + 1):
         xis = _xi_grid(xi_from, xi_to, step)
+        found = _window_scan(spec, gap, xis, L, sides, mu_tol=mu_tol,
+                             rtol=rtol)
         curves: list[DirichletCurve] = []
         for side in sides:
-            roots = _window_scan(spec, gap, xis, L, side,
-                                 mu_tol=mu_tol, rtol=rtol)
-            raw_curves, ambiguous = _assemble_side(side, xis, roots, gap, step)
+            raw_curves, ambiguous = _assemble_side(side, xis, found[side],
+                                                   gap, step)
             raw_curves = [raw for raw in raw_curves if len(raw["mu"]) >= 2]
             if ambiguous or any(
                     np.max(np.abs(np.diff(raw["mu"]))) > 0.2 * gap.width
@@ -534,15 +529,14 @@ def _refine_root_near(spec, gap, xi, mu_guess, side, L, *, tol, rtol,
     band = band or max(0.05 * gap.width, 1e-3)
     lo = max(lo_t, mu_guess - band)
     hi = min(hi_t, mu_guess + band)
-    th = _scan_theta_at_zero(spec, np.array([lo, hi, mu_guess]),
-                             np.asarray(xi, dtype=float), L, side, rtol)
+    th = _scan_theta(spec, np.array([lo, hi, mu_guess]), float(xi), L, side,
+                     rtol)
     target = round(float(th[2]) / math.pi) * math.pi
-    if not (min(th[0], th[1]) < target <= max(th[0], th[1])):
+    if not th[0] < target <= th[1]:
         lo, hi = lo_t, hi_t  # fall back to the full trimmed gap
-    below, above = (lo, hi) if side == RIGHT else (hi, lo)
     return float(prufer.bisect(
-        lambda e: _scan_theta_at_zero(spec, e, xi, L, side, rtol),
-        below, above, target, tol))
+        lambda e: _scan_theta(spec, e, xi, L, side, rtol),
+        lo, hi, target, tol))
 
 
 def flow_derivative_check(spec: PotentialSpec, curve: DirichletCurve,
@@ -591,7 +585,7 @@ def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side, *, dxi, rtol):
     """Offsets where mu is a Dirichlet value: crossings of the boundary sine."""
     n = max(3, int(math.ceil((xi_hi - xi_lo) / dxi)) + 1)
     xis = np.linspace(xi_lo, xi_hi, n)
-    th = _scan_theta_at_zero(spec, float(mu), xis, L, side, rtol)
+    th = _scan_theta(spec, float(mu), xis, L, side, rtol)
     kf = np.floor(th / math.pi + 1e-12).astype(int)
     below, above, targets = [], [], []
     for j in range(n - 1):
@@ -603,10 +597,10 @@ def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side, *, dxi, rtol):
     if not targets:
         return np.empty(0)
     roots = np.sort(prufer.bisect(
-        lambda x: _scan_theta_at_zero(spec, float(mu), x, L, side, rtol),
+        lambda x: _scan_theta(spec, float(mu), x, L, side, rtol),
         below, above, targets, 1e-11))
-    t_check = _scan_theta_at_zero(spec, float(mu), roots,
-                                  STABILITY_FACTOR * L, side, rtol)
+    t_check = _scan_theta(spec, float(mu), roots, STABILITY_FACTOR * L, side,
+                          rtol)
     return roots[np.abs(np.sin(t_check)) < STABILITY_RESIDUAL]
 
 

@@ -108,11 +108,12 @@ def translate(spec: PotentialSpec, shift: float) -> PotentialSpec:
     )
 
 
-def scalar_evaluator(spec: PotentialSpec, xi: float = 0.0):
-    """Closure computing V(x + xi) with plain floats, for tight inner loops."""
+def scalar_evaluator(spec: PotentialSpec, xi: float = 0.0, mirror=False):
+    """Closure computing V(x + xi), or V(-x + xi) if mirror, with floats."""
     if spec.kind == ZERO:
         return lambda x: 0.0
-    folded = [(a, TWO_PI * f, p + TWO_PI * f * xi) for a, f, p in spec.terms]
+    s = -TWO_PI if mirror else TWO_PI
+    folded = [(a, s * f, p + TWO_PI * f * xi) for a, f, p in spec.terms]
     if len(folded) == 1:
         a0, w0, p0 = folded[0]
 
@@ -130,20 +131,21 @@ def scalar_evaluator(spec: PotentialSpec, xi: float = 0.0):
     return many_terms
 
 
-def offset_evaluator(spec: PotentialSpec, xi):
-    """Closure computing V(x + xi) for a scalar x over an array of offsets.
+def offset_evaluator(spec: PotentialSpec, xi, mirror=False):
+    """Closure computing V(x + xi), or V(-x + xi) where mirror is set, for a
+    scalar x over an array of offsets.
 
-    By angle addition, a cos(w (x + xi) + p) = A cos(w x) - B sin(w x) with
-    A = a cos(w xi + p) and B = a sin(w xi + p) per offset, computed once
-    here; each call then costs scalar trigonometry and array multiply-adds.
-    The result has the shape of xi.
+    By angle addition, a cos(w (+-x + xi) + p) = A cos(w x) -+ B sin(w x)
+    with A = a cos(w xi + p) and B = a sin(w xi + p) per offset, computed
+    once here; each call then costs scalar trigonometry and array
+    multiply-adds.  The result has the shape of xi and mirror.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi, s = np.broadcast_arrays(np.asarray(xi, float), np.where(mirror, -1, 1))
     if spec.kind == ZERO:
         zeros = np.zeros(xi.shape)
         return lambda x: zeros
     factors = [(TWO_PI * f, a * np.cos(TWO_PI * f * xi + p),
-                a * np.sin(TWO_PI * f * xi + p)) for a, f, p in spec.terms]
+                s * a * np.sin(TWO_PI * f * xi + p)) for a, f, p in spec.terms]
     if len(factors) == 1:
         (w0, A0, B0), = factors
 

@@ -56,7 +56,7 @@ KAPPA_MIN = 1e-3
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 
-# Which half-line problem a boundary phase belongs to (see decaying_start):
+# Which half-line problem a boundary phase belongs to (see boundary_data):
 # RIGHT gives the right Dirichlet values, LEFT the left ones.
 RIGHT = "right"
 LEFT = "left"
@@ -220,16 +220,17 @@ def _float_norm(rtol, atol_theta, atol_logr):
 def integrate(spec: PotentialSpec, energy: float, offset: float,
               x_start: float, x_end: float, theta_start: float, *,
               rtol: float = DEFAULT_RTOL, atol_theta: float = DEFAULT_ATOL,
-              atol_logr: float = DEFAULT_ATOL,
-              max_step: float = 2.0) -> SolutionTrace:
+              atol_logr: float = DEFAULT_ATOL, max_step: float = 2.0,
+              mirror: bool = False) -> SolutionTrace:
     """Integrate the phase-amplitude system from x_start to x_end.
 
     Works in either direction.  The returned lift is continuous by
     construction (the angle is integrated on the line, never reduced mod pi),
     and a step is rejected whenever it would move theta by more than pi/2.
-    Both theta and log r enter the error control.
+    Both theta and log r enter the error control.  mirror: V(-x + offset).
     """
-    rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, offset), energy)
+    rhs = _theta_rhs_scalar(
+        potentials.scalar_evaluator(spec, offset, mirror), energy)
     nodes = []
     _cash_karp(rhs, _float_norm(rtol, atol_theta, atol_logr), x_start, x_end,
                float(theta_start), 0.0, max_step=max_step, record=nodes.append,
@@ -244,18 +245,19 @@ def integrate(spec: PotentialSpec, energy: float, offset: float,
 def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
                x_end, theta_start, *,
                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-               max_step: float = 2.0) -> np.ndarray:
+               max_step: float = 2.0, mirror=False) -> np.ndarray:
     """Endpoint theta lift for a whole grid of (E, xi) components at once.
 
-    energies, offsets and theta_start broadcast against each other; all
-    components share the adaptive steps (the controller uses the worst
-    component) and only theta enters the error control.  Returns
-    theta(x_end) with the broadcast shape.  x_end may also be a 1-d array of
-    landing points, strictly monotone in the direction of integration; the
-    result then has a leading axis over them.  A grid of one component runs
-    integrate's plain-float path instead, with log r carried and controlled
-    as there (atol for both): about ten times faster than the numpy stepper
-    at width one, and bit-identical to integrate's endpoint.
+    energies, offsets, theta_start and mirror broadcast against each other
+    (a component with mirror set sees V(-x + xi)); all components share the
+    adaptive steps (the controller uses the worst component) and only theta
+    enters the error control.  Returns theta(x_end) with the broadcast
+    shape.  x_end may also be a 1-d array of landing points, strictly
+    monotone in the direction of integration; the result then has a leading
+    axis over them.  A grid of one component runs integrate's plain-float
+    path instead, with log r carried and controlled as there (atol for
+    both): about ten times faster than the numpy stepper at width one, and
+    bit-identical to integrate's endpoint.
 
     The numpy right-hand side is theta' = 1 + (E - 1 - V) sin^2(theta), with
     V(x + xi) by angle addition (potentials.offset_evaluator), so a stage
@@ -264,17 +266,17 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     E = np.asarray(energies, dtype=float)
     xi = np.asarray(offsets, dtype=float)
     th0 = np.asarray(theta_start, dtype=float)
-    shape = np.broadcast_shapes(E.shape, xi.shape, th0.shape)
+    shape = np.broadcast_shapes(E.shape, xi.shape, th0.shape, np.shape(mirror))
     out_shape = np.shape(x_end) + shape
     if math.prod(shape) == 1:
-        e, x, t = (float(a.reshape(-1)[0]) for a in (E, xi, th0))
-        rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x), e)
+        e, x, t, mr = (float(np.ravel(a)[0]) for a in (E, xi, th0, mirror))
+        rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x, mr), e)
         th, _ = _cash_karp(rhs, _float_norm(rtol, atol, atol), x_start, x_end,
                            t, 0.0, max_step=max_step,
                            context=f" (E={e}, xi={x})")
         return np.reshape(th, out_shape)
 
-    v = potentials.offset_evaluator(spec, xi)
+    v = potentials.offset_evaluator(spec, xi, mirror)
     e1 = E - 1.0
 
     def rhs(x, t):
@@ -308,7 +310,8 @@ def bisect(theta_of, below, above, target, tol: float, ends=None,
     one smooth phase: a step evaluates the stencil x -/+ tol / 2 (toward
     below / above; the guess's goes with the ends), which straddles the
     target, leaving a bracket tol wide, or moves an end and gives the
-    Newton point of the next step.  A point past an end that reads against
+    Newton point of the next step; theta_of(x, rows) gets the open brackets
+    (flat indices rows) only.  A point past an end that reads against
     it (passes disagree) inverts the bracket and ends its search.  ends,
     when the caller has them, are the phases of the first evaluation, and
     add a step of slack (n0 = 1).  bracket returns the final (below, above)
@@ -357,8 +360,13 @@ def bisect(theta_of, below, above, target, tol: float, ends=None,
             x_f = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = 0.5 * tol * 2.0 ** (n_max - step) - 0.5 * span
         x = np.where(np.abs(x_f - mid) <= radius, x_f, mid - sigma * radius)
-        pts = [x] if guess is None else [x - half, x + half]
-        vals = list(theta_of(np.stack(pts)) - target)
+        if guess is None:
+            pts = [x]
+            vals = list(theta_of(np.stack(pts)) - target)
+        else:
+            pts, vals = [x - half, x + half], np.array(vals)
+            vals[:, live] = (theta_of(np.stack(pts)[:, live],
+                                      np.flatnonzero(live)) - target[live])
     return (below, above) if bracket else 0.5 * (below + above)
 
 
@@ -370,8 +378,9 @@ def _seed_kappa(spec: PotentialSpec, energy, offset, x_anchor, window: float):
     return np.sqrt(np.maximum(np.asarray(vbar) - np.asarray(energy), KAPPA_MIN))
 
 
-def seed_decaying_left(spec: PotentialSpec, energy, offset, L):
-    """Prufer angle of the direction decaying toward -infinity, at x = -L.
+def seed_decaying_left(spec: PotentialSpec, energy, offset, L, mirror=False):
+    """Prufer angle of the direction decaying toward -infinity, at x = -L,
+    of V(x + offset), or of V(-x + offset) where mirror is set.
 
     For a locally constant potential Vbar > E the decaying solution behaves
     like exp(kappa x) with kappa = sqrt(Vbar - E), whose angle is
@@ -380,30 +389,17 @@ def seed_decaying_left(spec: PotentialSpec, energy, offset, L):
     exp(-2 kappa (x + L)).
     """
     L_arr = np.asarray(L, dtype=float)
-    w = np.minimum(10.0, L_arr / 2.0)
-    kappa = _seed_kappa(spec, energy, offset, -L_arr, w)
+    w = np.minimum(10.0, L_arr / 2.0)  # mirrored, [-L, -L + w] is [L - w, L]
+    kappa = _seed_kappa(spec, energy, offset, np.where(mirror, L_arr - w,
+                                                       -L_arr), w)
     out = np.arctan(1.0 / kappa)
     return float(out) if out.ndim == 0 else out
 
 
 def seed_decaying_right(spec: PotentialSpec, energy, offset, L):
-    """Angle of the direction decaying toward +infinity, at x = +L."""
-    L_arr = np.asarray(L, dtype=float)
-    w = np.minimum(10.0, L_arr / 2.0)
-    kappa = _seed_kappa(spec, energy, offset, L_arr - w, w)
-    out = math.pi - np.arctan(1.0 / kappa)
-    return float(out) if out.ndim == 0 else out
-
-
-def decaying_start(spec: PotentialSpec, energy, offset, L, side: str):
-    """(x0, theta0): start and seed angle of one side's decaying solution.
-
-    RIGHT starts the left-decaying solution at -L, to be integrated forward
-    to 0; LEFT starts the right-decaying one at +L, integrated backward.
-    """
-    if side == RIGHT:
-        return -L, seed_decaying_left(spec, energy, offset, L)
-    return L, seed_decaying_right(spec, energy, offset, L)
+    """Angle of the direction decaying toward +infinity, at x = +L: the
+    mirror image theta -> pi - theta of the mirrored left seed."""
+    return math.pi - seed_decaying_left(spec, energy, offset, L, mirror=True)
 
 
 @dataclass(frozen=True)
@@ -420,22 +416,21 @@ def boundary_data(spec: PotentialSpec, energy: float, offset: float, L: float,
                   max_step: float = 0.02) -> BoundaryData:
     """Integrate the decaying solution of one half-line problem to x = 0.
 
-    side RIGHT integrates the left-decaying solution from -L, LEFT the
-    right-decaying one backward from +L.  Returns sin(theta(0)), whose zeros
-    in E are that side's Dirichlet values, the lift theta(0), and psi'(0) for
-    psi normalized to unit L^2 norm on the integration interval.  The norm
-    integral of r^2 sin^2(theta) uses the trapezoid rule on the accepted
-    nodes, hence the small max_step default.
+    side RIGHT integrates the left-decaying solution forward from -L, LEFT
+    the mirror image x -> -x of the right-decaying one (lift pi - theta).
+    Returns sin(theta(0)), whose zeros in E are that side's Dirichlet
+    values, the lift theta(0), and psi'(0) for psi normalized to unit L^2
+    norm on [-L, 0].  The norm integral of r^2 sin^2(theta) uses the
+    trapezoid rule on the accepted nodes, hence the small max_step default.
     """
-    x0, th0 = decaying_start(spec, energy, offset, L, side)
-    tr = integrate(spec, energy, offset, x0, 0.0, th0,
+    tr = integrate(spec, energy, offset, -L, 0.0,
+                   seed_decaying_left(spec, energy, offset, L, side == LEFT),
                    rtol=rtol, atol_theta=rtol * 1e-2, atol_logr=rtol * 1e-2,
-                   max_step=max_step)
+                   max_step=max_step, mirror=side == LEFT)
     lr = tr.log_amplitudes
     lmax = float(np.max(lr))
     weight = np.exp(2.0 * (lr - lmax)) * np.sin(tr.thetas) ** 2
-    # abs: backward nodes descend, which flips the trapezoid's sign
-    norm2 = float(abs(np.trapezoid(weight, tr.xs)))
+    norm2 = float(np.trapezoid(weight, tr.xs))
     theta0 = float(tr.thetas[-1])
     dpsi = math.exp(float(lr[-1]) - lmax) * math.cos(theta0) / math.sqrt(norm2)
     return BoundaryData(sin_theta=math.sin(theta0), theta=theta0,

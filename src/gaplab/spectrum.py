@@ -124,7 +124,8 @@ def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
     k_first = int(math.ceil(t_lo / math.pi - 1e-12))
     k_last = int(math.floor(t_hi / math.pi + 1e-12))
     targets = np.arange(k_first, k_last + 1) * math.pi
-    return prufer.bisect(theta_of, e_min, e_max, targets, tol)
+    return prufer.bisect(theta_of, e_min, e_max, targets, tol,
+                         ends=(t_lo, t_hi))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ from gaplab import dirichlet, lattice, prufer, spectrum
 from gaplab.potentials import PotentialSpec, WindowChain
 from gaplab.spectrum import Gap
 
+from conftest import mathieu_gap_edges
+
 ZERO = PotentialSpec.zero()
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_no_dirichlet_values_below_free_spectrum():
@@ -274,15 +277,15 @@ def test_second_gap_two_passages_per_period(mathieu, gap2):
     assert passes == 2
 
 
-def _window_values(spec, gap, offsets, L, side):
-    return dirichlet._window_scan(spec, gap, offsets, L, side, mu_tol=1e-10,
+def _window_values(spec, gap, offsets, L, sides):
+    return dirichlet._window_scan(spec, gap, offsets, L, sides, mu_tol=1e-10,
                                   rtol=1e-11)
 
 
 @pytest.mark.parametrize("side", [dirichlet.RIGHT, dirichlet.LEFT])
 def test_window_scan_matches_single_offset_values(mathieu, gap1, side):
     offsets = np.linspace(0.0, 2.0 * math.pi, 64)
-    window = _window_values(mathieu, gap1, offsets, 60.0, side)
+    window = _window_values(mathieu, gap1, offsets, 60.0, (side,))[side]
     single = (dirichlet.right_dirichlet_values if side == dirichlet.RIGHT
               else dirichlet.left_dirichlet_values)
     found = 0
@@ -294,19 +297,110 @@ def test_window_scan_matches_single_offset_values(mathieu, gap1, side):
     assert found >= 3
 
 
+def test_joint_left_values_match_single_offsets_and_oracle(mathieu, gap1):
+    # the joint pass runs each LEFT block as the mirror image x -> -x of a
+    # RIGHT one, in the same theta_grid call as the RIGHT blocks
+    offsets = np.linspace(0.0, 2.0 * math.pi, 64)
+    window = _window_values(mathieu, gap1, offsets, 60.0,
+                            (dirichlet.RIGHT, dirichlet.LEFT))[dirichlet.LEFT]
+    L, h = 60.0, 0.005
+    lo, hi = gap1.trimmed()
+    found = 0
+    for k in range(0, 64, 7):
+        ref = dirichlet.left_dirichlet_values(mathieu, float(offsets[k]),
+                                              gap1, L)
+        assert len(window[k]) == len(ref)
+        assert np.all(np.abs(window[k] - np.array(ref)) <= 1e-6)
+        # the box oracle keeps in-gap eigenpairs localized at the x = 0 end
+        w, v, xs = lattice.fd_eigenvalues(mathieu, 0.0, L, float(offsets[k]),
+                                          h, gap1.e_lower, gap1.e_upper,
+                                          vectors=True)
+        keep = [float(w[i]) for i in range(len(w)) if lo <= w[i] <= hi
+                and np.sum(v[xs <= L / 4, i] ** 2) >= 0.5]
+        assert len(keep) == len(ref)
+        assert np.all(np.abs(np.array(keep) - window[k]) < 5e-4)
+        found += len(ref)
+    assert found >= 3
+
+
+def test_mirrored_left_values_match_backward_pass():
+    # two incommensurate terms, so that V(-x) is no translate of V; the
+    # left values of the joint (mirrored, forward) pass are crossings of
+    # the backward pass from +L, whose phase falls with E
+    spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), 0.4),
+                                     (0.4, GOLDEN / (2.0 * math.pi), 1.1)])
+    lower, upper = mathieu_gap_edges(1)
+    margin = 0.2 * (upper - lower)
+    gap = Gap(lower + margin, upper - margin)
+    offsets = np.linspace(-6.0, 6.0, 121)
+    L = 40.0
+    left = _window_values(spec, gap, offsets, L,
+                          (dirichlet.RIGHT, dirichlet.LEFT))[dirichlet.LEFT]
+    xi = np.concatenate([[x] * len(v) for x, v in zip(offsets, left)])
+    mu = np.concatenate(left)
+    assert len(mu) >= 20
+
+    def backward(e):
+        return prufer.theta_grid(spec, e, xi, L, 0.0,
+                                 prufer.seed_decaying_right(spec, e, xi, L),
+                                 rtol=1e-11, atol=1e-13)
+
+    target = np.round(backward(mu) / math.pi) * math.pi
+    ref = prufer.bisect(backward, mu + 1e-6, mu - 1e-6, target, 1e-11)
+    assert np.max(np.abs(ref - mu)) < 1e-8
+
+
+def test_value_next_to_the_artifact_is_polished(caplog):
+    # at phi 5.5 the L 30 pass has its artifact in the slab of the left
+    # value at -8.7, 0.5254817 (a per-offset root at rtol 1e-11), which the
+    # 33-energy scan left 1.2e-5 off as an unpolished estimate
+    spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), 5.5)])
+    gap = Gap(*mathieu_gap_edges(1))
+    xis = dirichlet._xi_grid(-10.4, 10.4, 0.1)
+    with caplog.at_level(logging.DEBUG, logger="gaplab.dirichlet"):
+        left = dirichlet._window_scan(
+            spec, gap, xis, 30.0, (dirichlet.RIGHT, dirichlet.LEFT),
+            mu_tol=1e-7, rtol=1e-8)[dirichlet.LEFT]
+    k = int(np.argmin(np.abs(xis + 8.7)))
+    assert np.min(np.abs(left[k] - 0.5254817)) < 1e-6
+    assert "0 estimates kept unpolished" in caplog.text
+
+
+def test_spread_artifact_next_to_gap_edge_is_removed():
+    # at phi 1.537 the L 30 pass of the first block has its artifact next to
+    # the upper edge of gap 2, where the step spreads over many of the
+    # fine slabs; its tails must not read as values (the per-offset scans
+    # find none at these offsets) nor halve the offset step
+    spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi),
+                                      1.5371123289416)])
+    gap = Gap(*mathieu_gap_edges(2))
+    xis = dirichlet._xi_grid(-10.4, 10.4, 0.1)
+    right = dirichlet._window_scan(spec, gap, xis, 30.0, (dirichlet.RIGHT,),
+                                   mu_tol=1e-7, rtol=1e-8)[dirichlet.RIGHT]
+    for k in (3, 49, 66):
+        assert len(right[k]) == 0, xis[k]
+        assert dirichlet.right_dirichlet_values(spec, float(xis[k]), gap,
+                                                30.0) == []
+    flow = dirichlet.trace_flow(spec, gap, -10.4, 10.4, 0.1, 30.0,
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
+    assert all(np.allclose(np.diff(c.xi), 0.1) for c in flow if len(c) > 1)
+
+
 def test_window_artifact_in_gap_is_removed(mathieu, gap1):
     # at L 30 the pass seeded at -40.4 carries its truncation artifact in
     # the trimmed first gap; offset -2.7 also has a genuine value in the
     # artifact's slabs
     offsets = np.linspace(-10.4, 10.4, 209)
-    w = dirichlet._window_pass(mathieu, gap1, offsets, 30.0, dirichlet.RIGHT,
-                               1e-8)
-    slab = w.artifact[0]
-    assert slab >= 0
-    e_lo, e_hi = w.energies[slab - 1], w.energies[slab + 2]
+    w = dirichlet._window_pass(mathieu, gap1, offsets, 30.0,
+                               (dirichlet.RIGHT,), 1e-8)
+    a, t = w.artifact[:, 0]
+    assert t < len(w.energies)
+    e_lo, e_hi = w.energies[a], w.energies[t]
     window = dirichlet._window_scan(mathieu, gap1, offsets, 30.0,
-                                    dirichlet.RIGHT, mu_tol=1e-8, rtol=1e-8)
-    assert any(len(v) and e_lo <= v[0] <= e_hi for v in window[:w.m])
+                                    (dirichlet.RIGHT,), mu_tol=1e-8,
+                                    rtol=1e-8)[dirichlet.RIGHT]
+    assert any(len(v) and e_lo <= v[0] <= e_hi
+               for v in window[:len(w.index)])
     for k in (0, 26, 52, 77, 78, 104, 130, 156, 182, 208):
         ref = dirichlet.right_dirichlet_values(mathieu, float(offsets[k]),
                                                gap1, 30.0)
@@ -317,9 +411,9 @@ def test_window_artifact_in_gap_is_removed(mathieu, gap1):
 def test_one_offset_window_artifact_in_gap(mathieu, gap1):
     # the pass [-30, 0] has its artifact in the trimmed gap, and offset 0
     # has no right value there (the box oracle agrees, see above)
-    w = dirichlet._window_pass(mathieu, gap1, [0.0], 30.0, dirichlet.RIGHT,
+    w = dirichlet._window_pass(mathieu, gap1, [0.0], 30.0, (dirichlet.RIGHT,),
                                1e-12)
-    assert w.artifact[0] >= 0
+    assert w.artifact[1, 0] < len(w.energies)
     assert dirichlet.right_dirichlet_values(mathieu, 0.0, gap1, 30.0) == []
     assert dirichlet.left_dirichlet_values(mathieu, 0.0, gap1, 30.0) == []
     L, h = 30.0, 0.005
@@ -342,24 +436,27 @@ def test_window_scan_and_phase_lift_log_at_debug_level(caplog, mathieu,
                                                  dirichlet.LEFT))
         dirichlet.phase_lift(flow, gap1, xis, "two_sided")
     scans = re.findall(
-        r"window scan \((\w+)\): (\d+) passes, (\d+) crossings, (\d+) "
+        r"window scan \(([\w, ]+)\): (\d+) passes, (\d+) crossings, (\d+) "
         r"certified by the first stencil, (\d+) inverted brackets, (\d+) "
-        r"estimates kept unpolished", caplog.text)
-    assert [scan[0] for scan in scans] == [dirichlet.RIGHT, dirichlet.LEFT]
-    for passes, crossings, certified, inverted, kept in (
-            map(int, scan[1:]) for scan in scans):
-        assert 3 <= passes <= 5
-        assert crossings > 0 and certified + kept <= crossings
-        assert inverted == 0
+        r"polished at the second truncation, (\d+) estimates kept "
+        r"unpolished", caplog.text)
+    # both sides in one scan: the window pass, the first stencils, and at
+    # most one Newton step
+    assert [scan[0] for scan in scans] == ["right, left"]
+    passes, crossings, certified, inverted, moved, kept = map(int, scans[0][1:])
+    assert passes <= 3
+    assert crossings > 0 and certified + kept <= crossings
+    assert inverted == 0 and kept == 0
     assert re.search(r"phase_lift: largest folded step \S+ rad, 0 above pi/2",
                      caplog.text)
 
 
 @pytest.mark.parametrize("side", [dirichlet.RIGHT, dirichlet.LEFT])
 def test_trace_flow_pass_count(mathieu, gap1, monkeypatch, side):
-    # one window pass, one pass with the polishing brackets and the first
-    # stencils, and the Newton steps (4 passes in all on these inputs); the
-    # per-offset bisection took 31 passes per side, ITP polishing 9
+    # both sides, in either order, share one window pass, one pass with the
+    # polishing brackets and the first stencils, and the Newton steps of the
+    # few estimates those leave; the per-offset bisection took 31 passes per
+    # side, ITP polishing 9, stencil Newton steps with 33 energies 4
     calls = []
     theta_grid = prufer.theta_grid
 
@@ -368,7 +465,8 @@ def test_trace_flow_pass_count(mathieu, gap1, monkeypatch, side):
         return theta_grid(*args, **kwargs)
 
     monkeypatch.setattr(prufer, "theta_grid", counted)
+    other = dirichlet.LEFT if side == dirichlet.RIGHT else dirichlet.RIGHT
     flow = dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.05,
-                                60.0, sides=(side,))
-    assert len(flow) == 1
-    assert len(calls) <= 5
+                                60.0, sides=(side, other))
+    assert sorted(c.side for c in flow) == [dirichlet.LEFT, dirichlet.RIGHT]
+    assert len(calls) <= 3

@@ -130,14 +130,16 @@ def test_theta_grid_matches_scalar_path(mathieu):
 
 
 def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
-    # the left problem's boundary phase decreases in E, so its bracket is
-    # mirrored (below = upper end); reflecting E turns it into an ordered one
+    # the left problem's boundary phase integrated backward from +L, pi
+    # minus that of its forward mirror image, decreases in E, so its bracket
+    # is mirrored (below = upper end); reflecting E turns it into an ordered
+    # one
     lo, hi = gap1.trimmed()
     xis = np.linspace(0.0, 2.0 * math.pi, 5)
 
     def theta_left(e):
-        return dirichlet._scan_theta_at_zero(mathieu, e, xis, 40.0,
-                                             prufer.LEFT, 1e-8)
+        return math.pi - dirichlet._scan_theta(mathieu, e, xis, 40.0,
+                                               prufer.LEFT, 1e-8)
 
     t_lo, t_hi = theta_left(lo), theta_left(hi)
     targets = np.floor(t_lo / math.pi) * math.pi
@@ -156,7 +158,7 @@ def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
 def _counted(theta):
     calls = []
 
-    def theta_of(x):
+    def theta_of(x, *rows):
         calls.append(np.shape(x))
         return theta(x)
 
