@@ -16,6 +16,8 @@ with Phi a continuous lift of sum_j phi_j, and an imaginary part
 both gap edges, so an edge state entering or leaving the gap adds only the
 2 pi that the lift folds away.  The nodes between the window ends only
 carry the lift; pi_trace spaces them by a bound on the edge-phase speed.
+Each node continues the in-gap eigenpairs of the node before, certified
+by a Sturm count and Kato-Temple bounds, or else calls eigh_tridiagonal.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import dirichlet, lattice, potentials, rotation
 from .dirichlet import phase_lift, _xi_grid
@@ -34,6 +36,7 @@ from .spectrum import Gap
 
 TWO_PI = 2.0 * math.pi
 MATRIX_SIZE_CAP = 2_000_000
+RQI_STEPS = 6   # Rayleigh-quotient steps per vector before giving up
 
 log = logging.getLogger(__name__)
 
@@ -56,10 +59,6 @@ class HalflineOperator:
     diag: np.ndarray
     offdiag: np.ndarray
     xs: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
 
 
 def build_halfline(spec: PotentialSpec, xi: float, L: float,
@@ -87,13 +86,16 @@ class EdgeUnitary:
     """In-gap eigenpairs retained by the boundary-mass filter, with phases.
 
     The implied unitary is the identity plus sum_j (phase_j - 1) P_j over the
-    retained rank-one projectors; everything downstream only ever needs the
-    retained eigenpairs.
+    retained rank-one projectors.  _in_gap holds every in-gap eigenvector,
+    unfiltered, to start the next node from.
     """
 
     gap: Gap
     eigenvalues: np.ndarray
     vectors: np.ndarray = field(repr=False)
+    _in_gap: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _cold: bool = field(default=True, repr=False, compare=False)
+    _solves: int = field(default=0, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -111,7 +113,8 @@ class EdgeUnitary:
 
 
 def edge_projector(op: HalflineOperator, gap: Gap,
-                   mass_threshold: float = 0.5) -> EdgeUnitary:
+                   mass_threshold: float = 0.5, *,
+                   start: EdgeUnitary | None = None) -> EdgeUnitary:
     """In-gap states carrying enough mass near the x = 0 boundary.
 
     The truncation at -L adds spurious in-gap states localized there; the
@@ -120,13 +123,65 @@ def edge_projector(op: HalflineOperator, gap: Gap,
     matrix V_near^T V_near of the in-gap eigenvectors V, with Rayleigh
     quotients as eigenvalues: they unmix a boundary and a truncation state
     that a mirror-symmetric box makes degenerate.
+
+    From start, the unit of a nearby offset, _continue follows its in-gap
+    pairs; eigh_tridiagonal solves the nodes it does not certify.
     """
-    w, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",
-                            select_range=(gap.e_lower, gap.e_upper))
+    w, v, solves = _continue(op, gap, start)
+    if cold := w is None:
+        _, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",
+                                select_range=(gap.e_lower, gap.e_upper))
+        w = np.array([_rayleigh(op, x)[0] for x in v.T])
     near = v[op.xs >= -op.L / 4.0]
     mass, rot = np.linalg.eigh(near.T @ near)
     rot = rot[:, mass >= mass_threshold]
-    return EdgeUnitary(gap=gap, eigenvalues=(rot ** 2).T @ w, vectors=v @ rot)
+    return EdgeUnitary(gap=gap, eigenvalues=(rot ** 2).T @ w, vectors=v @ rot,
+                       _in_gap=v, _cold=cold, _solves=solves)
+
+
+def _rayleigh(op: HalflineOperator, v: np.ndarray, floor: float = 0.0):
+    """Rayleigh quotient rho of the unit vector v and ||(T - rho) v||."""
+    off = float(op.offdiag[0])
+    pot = op.diag + 2.0 * off   # exact: d is within a factor 2 of -2 off
+    dv = np.diff(v, prepend=0.0, append=0.0)   # so 2/h^2 cannot cancel
+    rho = float(np.sum(pot * v * v) - off * np.sum(dv * dv))
+    res = off * (dv[1:] - dv[:-1]) + (pot - rho) * v
+    return rho, max(math.sqrt(np.sum(res * res)), floor)
+
+
+def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
+    """(w, v, solves): in-gap pairs of op by Rayleigh-quotient iteration from
+    those of start; w = v = None unless, with residuals r floored at tol =
+    eps ||T||_1, they meet the gap's Sturm count, the [rho +- r] lie disjoint
+    in it, and Kato-Temple bounds r^2/delta <= tol, delta to next or edge."""
+    if start is None or start._in_gap is None:
+        return None, None, 0
+    d, e = op.diag, op.offdiag
+    tol = np.finfo(float).eps * float(np.max(np.abs(d)) - 2.0 * e[0])
+    found, solves = [], 0
+    for v in start._in_gap.T:
+        for step in range(RQI_STEPS + 1):
+            rho, r = _rayleigh(op, v, tol)
+            # stop a thousandfold inside the Kato-Temple budget of the gap
+            if step == RQI_STEPS or r * r <= 1e-3 * tol * gap.width:
+                break
+            y, info = lapack.dgtsv(e, d - rho, e, v)[3:]
+            solves += 1
+            if info:   # T - rho is singular: rho is an eigenvalue
+                break
+            v = y / math.sqrt(np.sum(y * y))
+        if gap.e_lower < rho < gap.e_upper:
+            found.append((rho, r, v))
+    found.sort(key=lambda f: f[0])
+    rho, r, v = (np.array([f[i] for f in found]) for i in range(3))
+    left = np.append(gap.e_lower, rho[:-1] + r[:-1])
+    right = np.append(rho[1:] - r[1:], gap.e_upper)
+    if (len(found) != lapack.dstebz(d, e, 1, gap.e_lower, gap.e_upper, 0, 0,
+                                    gap.width, "B")[0]
+            or np.any(rho - r <= left) or np.any(rho + r >= right)
+            or np.any(r * r > tol * np.minimum(rho - left, right - rho))):
+        return None, None, solves
+    return rho, v.reshape(len(found), len(d)).T, solves
 
 
 @dataclass(frozen=True)
@@ -144,11 +199,11 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
              mass_threshold: float = 0.5) -> KLabelResult:
     """Trace-formula gap label on an offset window.
 
-    One eigensolve per offset node gives the retained edge phases phi_j;
-    with Phi the lift of sum_j phi_j over the nodes, the window mean of
-    Tr[(U* - 1) dU/dxi], normalized by -1/(2 pi i), is
-    -[Phi - sum_j sin phi_j] / (2 pi |W|) with imaginary part
-    [sum_j (1 - cos phi_j)] / (2 pi |W|), both taken at the window ends.
+    One edge_projector call per offset node, started from the node before,
+    gives the retained edge phases phi_j; with Phi the lift of sum_j phi_j
+    over the nodes, the window mean of Tr[(U* - 1) dU/dxi], normalized by
+    -1/(2 pi i), is -[Phi - sum_j sin phi_j] / (2 pi |W|) with imaginary
+    part [sum_j (1 - cos phi_j)] / (2 pi |W|), both taken at the window ends.
 
     dxi keeps its place for callers but no longer spaces the nodes.  As
     d diag/dxi = V'(x + xi), each edge phase moves at most sigma =
@@ -164,22 +219,25 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
     if not b > a:
         raise ValueError("empty offset window")
 
-    def solve(x):
+    def solve(x, start=None):
         return edge_projector(build_halfline(spec, x, L, h), gap,
-                              mass_threshold).angles
+                              mass_threshold, start=start)
 
     sigma = TWO_PI * potentials.slope_bound(spec) / gap.width
-    # eigh_tridiagonal resolves eigenvalues to eps times the 1-norm of T
+    # edge_projector resolves eigenvalues to eps times the 1-norm of T
     slack = (TWO_PI * np.finfo(float).eps / gap.width
              * (4.0 / h ** 2 + potentials.amplitude_bound(spec)))
     reach = 0.95 * math.pi / sigma if sigma else math.inf
-    nodes, angles, halved = [a], [solve(a)], 0
+    unit = solve(a)
+    nodes, angles, halved, cold, solves = [a], [unit.angles], 0, 1, 0
     lift = [float(np.sum(angles[0]))]
     while nodes[-1] < b:
         x, r0 = nodes[-1], len(angles[-1])
         x1 = min(b, x + reach / max(2 * r0, 1))
         while True:
-            p1 = solve(x1)
+            trial = solve(x1, unit)
+            cold, solves = cold + trial._cold, solves + trial._solves
+            p1 = trial.angles
             d = math.remainder(float(np.sum(p1)) - lift[-1], TWO_PI)
             bound = max(r0 + len(p1), 1) * sigma * (x1 - x)
             if bound < math.pi and abs(d) <= bound + (r0 + len(p1)) * slack:
@@ -191,11 +249,13 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
             log.debug("pi_trace: halved the step from xi = %r to %r", x, x1)
             x1 = x + (x1 - x) / 2.0
             halved += 1
+        unit = trial
         nodes.append(x1)
         angles.append(p1)
         lift.append(lift[-1] + d)
-    log.debug("pi_trace: window (%r, %r), %d nodes solved, %d steps halved",
-              a, b, len(nodes) + halved, halved)
+    log.debug("pi_trace: window (%r, %r), %d nodes solved, %d steps halved, "
+              "%d cold eigensolves, %d tridiagonal solves",
+              a, b, len(nodes) + halved, halved, cold, solves)
 
     norm = TWO_PI * (b - a)
     first, last = angles[0], angles[-1]

@@ -4,9 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from gaplab import dirichlet, klabel, potentials
+from gaplab import dirichlet, klabel, lattice, potentials
 from gaplab.potentials import PotentialSpec, WindowChain
 from gaplab.spectrum import Gap
 
@@ -142,8 +142,8 @@ def test_pi_trace_unresolved_appearance_names_interval(monkeypatch, mathieu,
     c, h = 0.4321, 0.01
     real = klabel.edge_projector
 
-    def with_appearance(op, gap, mass_threshold=0.5):
-        unit = real(op, gap, mass_threshold)
+    def with_appearance(op, gap, mass_threshold=0.5, *, start=None):
+        unit = real(op, gap, mass_threshold, start=start)
         if op.xi <= c:
             return unit
         mid = np.append(unit.eigenvalues, gap.e_lower + gap.width / 2.0)
@@ -163,6 +163,107 @@ def test_pi_trace_logs_nodes_at_debug_level(caplog, mathieu, gap1):
         res = klabel.pi_trace(mathieu, gap1, (0.0, 2.0), 0.05, 20.0, 0.01)
     assert f"{len(res.xi_nodes)} nodes solved, 0 steps halved" in caplog.text
     assert "window (0.0, 2.0)" in caplog.text
+    # at the edge_trace settings most nodes continue from the one before
+    for n in (1, 2):
+        caplog.clear()
+        spec, gap = _shifted_mathieu(n, 0.1)
+        with caplog.at_level(logging.DEBUG, logger="gaplab.klabel"):
+            klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
+        solved, cold, solves = map(int, re.search(
+            r"(\d+) nodes solved, \d+ steps halved, (\d+) cold eigensolves, "
+            r"(\d+) tridiagonal solves", caplog.text).groups())
+        assert 1 <= cold <= solved / 4
+        assert solves > 0
+
+
+def _cold_trace(monkeypatch, spec, gap, window, h):
+    """pi_trace with every node solved by eigh_tridiagonal."""
+    real = klabel.edge_projector
+
+    def cold(op, gap, mass_threshold=0.5, *, start=None):
+        return real(op, gap, mass_threshold)
+
+    monkeypatch.setattr(klabel, "edge_projector", cold)
+    res = klabel.pi_trace(spec, gap, window, 0.05, 60.0, h)
+    monkeypatch.undo()
+    return res
+
+
+def _recording_projector(monkeypatch):
+    """Records (op, start, unit) of every edge_projector call."""
+    real, seen = klabel.edge_projector, []
+
+    def recording(op, gap, mass_threshold=0.5, *, start=None):
+        unit = real(op, gap, mass_threshold, start=start)
+        seen.append((op, start, unit))
+        return unit
+
+    monkeypatch.setattr(klabel, "edge_projector", recording)
+    return seen
+
+
+def _assert_same_trace(warm, cold):
+    assert np.array_equal(warm.xi_nodes, cold.xi_nodes)
+    assert warm.retained_counts == cold.retained_counts
+    assert abs(warm.value - cold.value) <= 1e-12
+    assert abs(warm.error_estimate - cold.error_estimate) <= 1e-12
+
+
+@pytest.mark.parametrize("phase, window, h", [
+    (0.1, (-math.pi, math.pi), 0.01),
+    (2.977, (-math.pi, math.pi), 0.01),
+    (0.7, (-2.0 * math.pi, 2.0 * math.pi), 0.005)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_pi_trace_continuation_matches_cold_solves(monkeypatch, n, phase,
+                                                   window, h):
+    # the edge_trace and edge_labels settings
+    spec, gap = _shifted_mathieu(n, phase)
+    cold = _cold_trace(monkeypatch, spec, gap, window, h)
+    seen = _recording_projector(monkeypatch)
+    _assert_same_trace(klabel.pi_trace(spec, gap, window, 0.05, 60.0, h), cold)
+    op, _, unit = next((op, s, u) for op, s, u in seen
+                       if s is not None and not u._cold and u.rank)
+    off = float(op.offdiag[0])
+    sturm = (lattice.sturm_count(op.diag, off, gap.e_upper)
+             - lattice.sturm_count(op.diag, off, gap.e_lower))
+    count = lapack.dstebz(op.diag, op.offdiag, 1, gap.e_lower, gap.e_upper,
+                          0, 0, gap.width, "B")[0]
+    assert unit._in_gap.shape[1] == count == sturm
+
+
+def test_pi_trace_continuation_refused_where_uncertified(monkeypatch):
+    # the window ends at xi = L/2, where the box is mirror-symmetric and the
+    # boundary and truncation states are degenerate, and holds offsets
+    # where a state enters the gap; neither can be continued
+    spec, gap = _shifted_mathieu(2, 0.0)
+    window = (30.0 - 2.0 * math.pi, 30.0)
+    cold = _cold_trace(monkeypatch, spec, gap, window, 0.01)
+    seen = _recording_projector(monkeypatch)
+    _assert_same_trace(klabel.pi_trace(spec, gap, window, 0.05, 60.0, 0.01),
+                       cold)
+    entering = [u for _, s, u in seen[1:]
+                if u._in_gap.shape[1] > s._in_gap.shape[1]]
+    assert entering and all(u._cold for u in entering)
+    op, start, unit = seen[-1]
+    assert op.xi == 30.0 and start is not None
+    assert klabel._continue(op, gap, start)[0] is None
+    assert unit._cold and unit.rank == 1
+
+
+def test_continuation_refuses_pairs_short_of_kato_temple(monkeypatch):
+    # one Rayleigh-quotient step leaves a residual near 1e-5: its interval
+    # lies disjoint inside the gap, but r^2/delta is far above eps ||T||_1
+    spec, gap = _shifted_mathieu(1, 0.1)
+    start = klabel.edge_projector(klabel.build_halfline(spec, 0.0, 60.0, 0.01),
+                                  gap)
+    op = klabel.build_halfline(spec, 0.05, 60.0, 0.01)
+    w, _, solves = klabel._continue(op, gap, start)
+    exact = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
+                                 select_range=(gap.e_lower, gap.e_upper))
+    assert solves == 2 and len(w) == len(exact) == 1
+    assert abs(w[0] - exact[0]) < 1e-10
+    monkeypatch.setattr(klabel, "RQI_STEPS", 1)
+    assert klabel._continue(op, gap, start)[0] is None
 
 
 def test_edge_phases_move_within_slope_bound(mathieu):
