@@ -16,15 +16,17 @@ with Phi a continuous lift of sum_j phi_j, and an imaginary part
 both gap edges, so an edge state entering or leaving the gap adds only the
 2 pi that the lift folds away.  The nodes between the window ends only
 carry the lift; pi_trace spaces them by a bound on the edge-phase speed.
-Each node continues the in-gap eigenpairs of the node before, certified
-by a Sturm count and Kato-Temple bounds, or else calls eigh_tridiagonal.
+Each node continues the in-gap eigenpairs of the node before, bisects the
+states that entered the gap, and certifies them all by a Sturm count and
+Kato-Temple bounds; only a node the certificate refuses calls
+eigh_tridiagonal.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -37,6 +39,7 @@ from .spectrum import Gap
 TWO_PI = 2.0 * math.pi
 MATRIX_SIZE_CAP = 2_000_000
 RQI_STEPS = 6   # Rayleigh-quotient steps per vector before giving up
+BISECT_TOL = 1e-6   # dstebz tolerance, relative to |gap|, for new states
 
 log = logging.getLogger(__name__)
 
@@ -96,6 +99,7 @@ class EdgeUnitary:
     _in_gap: np.ndarray | None = field(default=None, repr=False, compare=False)
     _cold: bool = field(default=True, repr=False, compare=False)
     _solves: int = field(default=0, repr=False, compare=False)
+    _bisected: int = field(default=0, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -124,10 +128,11 @@ def edge_projector(op: HalflineOperator, gap: Gap,
     quotients as eigenvalues: they unmix a boundary and a truncation state
     that a mirror-symmetric box makes degenerate.
 
-    From start, the unit of a nearby offset, _continue follows its in-gap
-    pairs; eigh_tridiagonal solves the nodes it does not certify.
+    _continue follows the in-gap pairs of start, the unit of a nearby
+    offset, and bisects the states they miss; eigh_tridiagonal solves only
+    the nodes it does not certify.
     """
-    w, v, solves = _continue(op, gap, start)
+    w, v, solves, bisected = _continue(op, gap, start)
     if cold := w is None:
         _, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",
                                 select_range=(gap.e_lower, gap.e_upper))
@@ -136,7 +141,8 @@ def edge_projector(op: HalflineOperator, gap: Gap,
     mass, rot = np.linalg.eigh(near.T @ near)
     rot = rot[:, mass >= mass_threshold]
     return EdgeUnitary(gap=gap, eigenvalues=(rot ** 2).T @ w, vectors=v @ rot,
-                       _in_gap=v, _cold=cold, _solves=solves)
+                       _in_gap=v, _cold=cold, _solves=solves,
+                       _bisected=bisected)
 
 
 def _rayleigh(op: HalflineOperator, v: np.ndarray, floor: float = 0.0):
@@ -149,39 +155,53 @@ def _rayleigh(op: HalflineOperator, v: np.ndarray, floor: float = 0.0):
     return rho, max(math.sqrt(np.sum(res * res)), floor)
 
 
-def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
-    """(w, v, solves): in-gap pairs of op by Rayleigh-quotient iteration from
-    those of start; w = v = None unless, with residuals r floored at tol =
-    eps ||T||_1, they meet the gap's Sturm count, the [rho +- r] lie disjoint
-    in it, and Kato-Temple bounds r^2/delta <= tol, delta to next or edge."""
-    if start is None or start._in_gap is None:
-        return None, None, 0
+def _rqi(op: HalflineOperator, gap: Gap, v: np.ndarray, tol: float):
+    """(rho, r, v, solves): Rayleigh-quotient iteration from the unit vector
+    v until r^2 is a thousandth of the Kato-Temple budget tol |gap|."""
     d, e = op.diag, op.offdiag
+    for solves in range(RQI_STEPS + 1):
+        rho, r = _rayleigh(op, v, tol)
+        if solves == RQI_STEPS or r * r <= 1e-3 * tol * gap.width:
+            break
+        y, info = lapack.dgtsv(e, d - rho, e, v)[3:]
+        if info:   # T - rho is singular: rho is an eigenvalue
+            return rho, r, v, solves + 1
+        v = y / math.sqrt(np.sum(y * y))
+    return rho, r, v, solves
+
+
+def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
+    """(w, v, solves, bisected): in-gap pairs of op, polished from those of
+    start and, while the gap's Sturm count holds more, from dstein vectors
+    at a loose dstebz bisection of the gap; w = v = None unless, with
+    residuals r floored at tol = eps ||T||_1, they meet that count, the
+    [rho +- r] lie disjoint in it, and Kato-Temple bounds r^2/delta <= tol,
+    delta to next or edge."""
+    d, e = op.diag, op.offdiag
+    lo, hi = gap.e_lower, gap.e_upper
     tol = np.finfo(float).eps * float(np.max(np.abs(d)) - 2.0 * e[0])
-    found, solves = [], 0
-    for v in start._in_gap.T:
-        for step in range(RQI_STEPS + 1):
-            rho, r = _rayleigh(op, v, tol)
-            # stop a thousandfold inside the Kato-Temple budget of the gap
-            if step == RQI_STEPS or r * r <= 1e-3 * tol * gap.width:
-                break
-            y, info = lapack.dgtsv(e, d - rho, e, v)[3:]
-            solves += 1
-            if info:   # T - rho is singular: rho is an eigenvalue
-                break
-            v = y / math.sqrt(np.sum(y * y))
-        if gap.e_lower < rho < gap.e_upper:
-            found.append((rho, r, v))
-    found.sort(key=lambda f: f[0])
-    rho, r, v = (np.array([f[i] for f in found]) for i in range(3))
-    left = np.append(gap.e_lower, rho[:-1] + r[:-1])
-    right = np.append(rho[1:] - r[1:], gap.e_upper)
-    if (len(found) != lapack.dstebz(d, e, 1, gap.e_lower, gap.e_upper, 0, 0,
-                                    gap.width, "B")[0]
+    count = lapack.dstebz(d, e, 1, lo, hi, 0, 0, gap.width, "B")[0]
+    vs = [] if start is None or start._in_gap is None else start._in_gap.T
+    pairs = [_rqi(op, gap, v, tol) for v in vs]
+    known = [p[0] for p in pairs if lo < p[0] < hi]
+    bisected = 0
+    if count > len(known):
+        loose = BISECT_TOL * gap.width
+        m, w, _, split = lapack.dstebz(d, e, 1, lo, hi, 0, 0, loose, "B")[:4]
+        new = [x for x in w[:m] if all(abs(k - x) > loose for k in known)]
+        if bisected := len(new):
+            z = lapack.dstein(d, e, new, np.ones(len(d), np.int32), split)[0]
+            pairs += [_rqi(op, gap, v, tol) for v in z.T]
+    solves = sum(p[3] for p in pairs)
+    found = sorted((p for p in pairs if lo < p[0] < hi), key=lambda p: p[0])
+    rho, r, v = (np.array([p[i] for p in found]) for i in range(3))
+    left = np.append(lo, rho[:-1] + r[:-1])
+    right = np.append(rho[1:] - r[1:], hi)
+    if (len(found) != count
             or np.any(rho - r <= left) or np.any(rho + r >= right)
             or np.any(r * r > tol * np.minimum(rho - left, right - rho))):
-        return None, None, solves
-    return rho, v.reshape(len(found), len(d)).T, solves
+        return None, None, solves, bisected
+    return rho, v.reshape(len(found), len(d)).T, solves, bisected
 
 
 @dataclass(frozen=True)
@@ -219,9 +239,12 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
     if not b > a:
         raise ValueError("empty offset window")
 
+    grid = build_halfline(spec, a, L, h)
+    pot = potentials.offset_evaluator(spec, grid.xs)
+
     def solve(x, start=None):
-        return edge_projector(build_halfline(spec, x, L, h), gap,
-                              mass_threshold, start=start)
+        op = replace(grid, xi=x, diag=2.0 / h ** 2 + pot(x))
+        return edge_projector(op, gap, mass_threshold, start=start)
 
     sigma = TWO_PI * potentials.slope_bound(spec) / gap.width
     # edge_projector resolves eigenvalues to eps times the 1-norm of T
@@ -229,7 +252,8 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
              * (4.0 / h ** 2 + potentials.amplitude_bound(spec)))
     reach = 0.95 * math.pi / sigma if sigma else math.inf
     unit = solve(a)
-    nodes, angles, halved, cold, solves = [a], [unit.angles], 0, 1, 0
+    nodes, angles, halved = [a], [unit.angles], 0
+    cold, solves, bisected = unit._cold, unit._solves, unit._bisected
     lift = [float(np.sum(angles[0]))]
     while nodes[-1] < b:
         x, r0 = nodes[-1], len(angles[-1])
@@ -237,6 +261,7 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
         while True:
             trial = solve(x1, unit)
             cold, solves = cold + trial._cold, solves + trial._solves
+            bisected += trial._bisected
             p1 = trial.angles
             d = math.remainder(float(np.sum(p1)) - lift[-1], TWO_PI)
             bound = max(r0 + len(p1), 1) * sigma * (x1 - x)
@@ -254,8 +279,8 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
         angles.append(p1)
         lift.append(lift[-1] + d)
     log.debug("pi_trace: window (%r, %r), %d nodes solved, %d steps halved, "
-              "%d cold eigensolves, %d tridiagonal solves",
-              a, b, len(nodes) + halved, halved, cold, solves)
+              "%d cold eigensolves, %d tridiagonal solves, %d states bisected",
+              a, b, len(nodes) + halved, halved, cold, solves, bisected)
 
     norm = TWO_PI * (b - a)
     first, last = angles[0], angles[-1]

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from gaplab import dirichlet, klabel, lattice, potentials
 from gaplab.potentials import PotentialSpec, WindowChain
@@ -163,27 +163,24 @@ def test_pi_trace_logs_nodes_at_debug_level(caplog, mathieu, gap1):
         res = klabel.pi_trace(mathieu, gap1, (0.0, 2.0), 0.05, 20.0, 0.01)
     assert f"{len(res.xi_nodes)} nodes solved, 0 steps halved" in caplog.text
     assert "window (0.0, 2.0)" in caplog.text
-    # at the edge_trace settings most nodes continue from the one before
+    # at the edge_trace settings every node, the first and those a state
+    # enters included, is certified without eigh_tridiagonal
     for n in (1, 2):
         caplog.clear()
         spec, gap = _shifted_mathieu(n, 0.1)
         with caplog.at_level(logging.DEBUG, logger="gaplab.klabel"):
             klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
-        solved, cold, solves = map(int, re.search(
-            r"(\d+) nodes solved, \d+ steps halved, (\d+) cold eigensolves, "
-            r"(\d+) tridiagonal solves", caplog.text).groups())
-        assert 1 <= cold <= solved / 4
-        assert solves > 0
+        cold, solves, bisected = map(int, re.search(
+            r"(\d+) cold eigensolves, (\d+) tridiagonal solves, "
+            r"(\d+) states bisected", caplog.text).groups())
+        assert cold == 0
+        assert solves > 0 and bisected > 0
 
 
 def _cold_trace(monkeypatch, spec, gap, window, h):
     """pi_trace with every node solved by eigh_tridiagonal."""
-    real = klabel.edge_projector
-
-    def cold(op, gap, mass_threshold=0.5, *, start=None):
-        return real(op, gap, mass_threshold)
-
-    monkeypatch.setattr(klabel, "edge_projector", cold)
+    monkeypatch.setattr(klabel, "_continue",
+                        lambda op, gap, start: (None, None, 0, 0))
     res = klabel.pi_trace(spec, gap, window, 0.05, 60.0, h)
     monkeypatch.undo()
     return res
@@ -221,6 +218,12 @@ def test_pi_trace_continuation_matches_cold_solves(monkeypatch, n, phase,
     cold = _cold_trace(monkeypatch, spec, gap, window, h)
     seen = _recording_projector(monkeypatch)
     _assert_same_trace(klabel.pi_trace(spec, gap, window, 0.05, 60.0, h), cold)
+    # every node shares the first one's grid; its potential is rebuilt by
+    # angle addition
+    for op, _, _ in seen:
+        ref = klabel.build_halfline(spec, op.xi, 60.0, h)
+        assert np.allclose(op.diag, ref.diag, rtol=1e-15, atol=0.0)
+        assert op.xs is seen[0][0].xs
     op, _, unit = next((op, s, u) for op, s, u in seen
                        if s is not None and not u._cold and u.rank)
     off = float(op.offdiag[0])
@@ -233,8 +236,8 @@ def test_pi_trace_continuation_matches_cold_solves(monkeypatch, n, phase,
 
 def test_pi_trace_continuation_refused_where_uncertified(monkeypatch):
     # the window ends at xi = L/2, where the box is mirror-symmetric and the
-    # boundary and truncation states are degenerate, and holds offsets
-    # where a state enters the gap; neither can be continued
+    # boundary and truncation states are degenerate, which the certificate
+    # refuses; the offsets where a state enters the gap bisect it and pass
     spec, gap = _shifted_mathieu(2, 0.0)
     window = (30.0 - 2.0 * math.pi, 30.0)
     cold = _cold_trace(monkeypatch, spec, gap, window, 0.01)
@@ -243,11 +246,76 @@ def test_pi_trace_continuation_refused_where_uncertified(monkeypatch):
                        cold)
     entering = [u for _, s, u in seen[1:]
                 if u._in_gap.shape[1] > s._in_gap.shape[1]]
-    assert entering and all(u._cold for u in entering)
+    assert entering
+    assert not any(u._cold for u in entering)
+    assert all(u._bisected for u in entering)
     op, start, unit = seen[-1]
     assert op.xi == 30.0 and start is not None
     assert klabel._continue(op, gap, start)[0] is None
     assert unit._cold and unit.rank == 1
+
+
+# offsets of gap 2 of 2 cos x between which a state enters the gap, inside
+# the window (30 - 2 pi, 30): from none and next to a continued one
+ENTERING = [(25.4, 25.65), (29.05, 29.3)]
+
+
+@pytest.mark.parametrize("x0, x1", ENTERING)
+def test_continuation_bisects_entering_states(x0, x1):
+    spec, gap = _shifted_mathieu(2, 0.0)
+    start = klabel.edge_projector(klabel.build_halfline(spec, x0, 60.0, 0.01),
+                                  gap)
+    op = klabel.build_halfline(spec, x1, 60.0, 0.01)
+    w, _, _, bisected = klabel._continue(op, gap, start)
+    exact = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
+                                 select_range=(gap.e_lower, gap.e_upper))
+    assert bisected == 1 and len(exact) == start._in_gap.shape[1] + 1
+    # eigvalsh resolves eigenvalues to eps ||T||_1 ~ 1e-11; the cold path's
+    # Rayleigh quotients of eigh vectors resolve them further
+    assert np.max(np.abs(w - exact)) < 1e-11
+    vs = eigh_tridiagonal(op.diag, op.offdiag, select="v",
+                          select_range=(gap.e_lower, gap.e_upper))[1]
+    assert np.max(np.abs(w - [klabel._rayleigh(op, v)[0] for v in vs.T])
+                  ) < 1e-12
+    off = float(op.offdiag[0])
+    sturm = (lattice.sturm_count(op.diag, off, gap.e_upper)
+             - lattice.sturm_count(op.diag, off, gap.e_lower))
+    unit = klabel.edge_projector(op, gap, start=start)
+    assert not unit._cold and unit._in_gap.shape[1] == sturm
+
+
+def test_bisected_pair_short_of_kato_temple_is_refused(monkeypatch):
+    # the dstein vector of the entering state, tilted until its residual r
+    # has r^2/delta a few times eps ||T||_1, and left unpolished
+    spec, gap = _shifted_mathieu(2, 0.0)
+    x0, x1 = ENTERING[0]
+    start = klabel.edge_projector(klabel.build_halfline(spec, x0, 60.0, 0.01),
+                                  gap)
+    op = klabel.build_halfline(spec, x1, 60.0, 0.01)
+    tol = np.finfo(float).eps * float(np.max(op.diag) - 2.0 * op.offdiag[0])
+    monkeypatch.setattr(klabel, "RQI_STEPS", 0)
+    w, z, _, _ = klabel._continue(op, gap, start)
+    assert start._in_gap.shape[1] == 0 and len(w) == 1
+    real = lapack.dstein
+    noise = np.random.default_rng(0).standard_normal(len(op.diag))
+
+    def tilted(z, eps):
+        z = z + eps * noise[:, None]
+        return z / np.sqrt(np.sum(z * z, axis=0))
+
+    rho, r = klabel._rayleigh(op, tilted(z, 1e-12)[:, 0])
+    delta = min(rho - gap.e_lower, gap.e_upper - rho)
+    eps = 1e-12 * math.sqrt(4.0 * tol * delta) / r
+    rho, r = klabel._rayleigh(op, tilted(z, eps)[:, 0])
+    assert tol < r * r / delta < 10.0 * tol
+
+    def dstein(*args):
+        z, *rest = real(*args)
+        return (tilted(z, eps), *rest)
+
+    monkeypatch.setattr(lapack, "dstein", dstein)
+    assert klabel._continue(op, gap, start)[0] is None
+    assert klabel.edge_projector(op, gap, start=start)._cold
 
 
 def test_continuation_refuses_pairs_short_of_kato_temple(monkeypatch):
@@ -257,10 +325,10 @@ def test_continuation_refuses_pairs_short_of_kato_temple(monkeypatch):
     start = klabel.edge_projector(klabel.build_halfline(spec, 0.0, 60.0, 0.01),
                                   gap)
     op = klabel.build_halfline(spec, 0.05, 60.0, 0.01)
-    w, _, solves = klabel._continue(op, gap, start)
+    w, _, solves, bisected = klabel._continue(op, gap, start)
     exact = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
                                  select_range=(gap.e_lower, gap.e_upper))
-    assert solves == 2 and len(w) == len(exact) == 1
+    assert solves == 2 and bisected == 0 and len(w) == len(exact) == 1
     assert abs(w[0] - exact[0]) < 1e-10
     monkeypatch.setattr(klabel, "RQI_STEPS", 1)
     assert klabel._continue(op, gap, start)[0] is None
