@@ -22,9 +22,12 @@ at a longer truncation, which moves the artifact away.  Single-offset
 queries run the same scan on a one-offset window, with the truncation
 [xi - L, xi].
 
-Curves mu(xi) are assembled from the per-offset root sets by nearest-value
-continuation (right curves fall, left curves rise, and curves of one family
-never cross, so matching is unambiguous at adequate resolution).
+The labels read the values only through the phase 2 pi sum (mu - E_-)/|gap|
+of each side at each offset.  Spectral flow is a count of crossings, so no
+curve has to be followed to lift that phase: trace_flow certifies every
+step of the lift by the Hellmann-Feynman bound on the speed of a value, the
+way pi_trace certifies its nodes.  Curves mu(xi) are built by rank, for
+display and for the derivative check only.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import prufer, rotation
-from .potentials import PotentialSpec, WindowChain
+from .potentials import PotentialSpec, WindowChain, slope_bound
 from .prufer import LEFT, RIGHT
 from .spectrum import Gap
 
@@ -50,9 +54,6 @@ EXITS_LOWER = "exits_lower_edge"
 ENTERS_LOWER = "enters_from_lower_edge"
 EXITS_UPPER = "exits_upper_edge"
 PERSISTS = "persists"
-
-UPPER = "upper"
-LOWER = "lower"
 
 STABILITY_FACTOR = 1.5
 STABILITY_RESIDUAL = 1e-2
@@ -69,7 +70,8 @@ PROBES = ((math.sqrt(5.0) - 1.0) / 8.0, (math.sqrt(2.0) - 1.0) / 2.0,
 
 
 class FlowResolutionError(RuntimeError):
-    """Offset step too coarse to disentangle the flow, even after halving."""
+    """A step of an offset lift folds more than its certified bound allows:
+    a defect of the values it lifts."""
 
 
 def default_xi_chain() -> WindowChain:
@@ -82,8 +84,6 @@ class CurveFamily:
     """How the curves of one side cross a gap as xi increases."""
 
     direction: float  # sign of d(mu)/d(xi)
-    entry_edge: str
-    exit_edge: str
     entry_event: str
     exit_event: str
 
@@ -91,19 +91,9 @@ class CurveFamily:
 # a right curve falls from the upper edge to the lower one; a left curve
 # rises the other way
 FAMILIES = {
-    RIGHT: CurveFamily(-1.0, UPPER, LOWER, ENTERS_UPPER, EXITS_LOWER),
-    LEFT: CurveFamily(1.0, LOWER, UPPER, ENTERS_LOWER, EXITS_UPPER),
+    RIGHT: CurveFamily(-1.0, ENTERS_UPPER, EXITS_LOWER),
+    LEFT: CurveFamily(1.0, ENTERS_LOWER, EXITS_UPPER),
 }
-
-
-def _edge_energy(gap: Gap, edge: str) -> float:
-    return gap.e_upper if edge == UPPER else gap.e_lower
-
-
-def _near_edge(mu: float, gap: Gap, edge: str, band: float) -> bool:
-    """Whether mu lies within band of the trimmed gap's given edge."""
-    lo_t, hi_t = gap.trimmed()
-    return mu >= hi_t - band if edge == UPPER else mu <= lo_t + band
 
 
 @dataclass(frozen=True)
@@ -115,24 +105,9 @@ class DirichletCurve:
     xi: np.ndarray
     mu: np.ndarray
     events: tuple[str, ...]
-    entry_xi: float | None = None
-    exit_xi: float | None = None
 
     def __len__(self) -> int:
         return len(self.xi)
-
-    def extended(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xi, mu) extended linearly to the true-edge crossings."""
-        family = FAMILIES[self.side]
-        cxi = list(self.xi)
-        cmu = list(self.mu)
-        if self.entry_xi is not None and self.entry_xi < cxi[0]:
-            cxi = [self.entry_xi] + cxi
-            cmu = [_edge_energy(self.gap, family.entry_edge)] + cmu
-        if self.exit_xi is not None and self.exit_xi > cxi[-1]:
-            cxi = cxi + [self.exit_xi]
-            cmu = cmu + [_edge_energy(self.gap, family.exit_edge)]
-        return np.array(cxi), np.array(cmu)
 
 
 def _xi_grid(xi_from: float, xi_to: float, dxi: float) -> np.ndarray:
@@ -377,143 +352,151 @@ def left_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
                         mu_tol=tol, rtol=rtol)[LEFT][0].tolist()
 
 
-def _assemble_side(side: str, xis: np.ndarray, roots_per_xi, gap: Gap,
-                   dxi: float):
-    """Nearest-value continuation of per-offset root sets into curves.
+def _rank_curves(side: str, gap: Gap, xis: np.ndarray,
+                 values) -> list[DirichletCurve]:
+    """The side's curves of two or more samples, built by rank.
 
-    Right curves are strictly decreasing and non-intersecting (left ones
-    strictly increasing), so the previous sample plus a one-step slope
-    prediction identifies the continuation; a second root competing within
-    half the matching tolerance marks the step as under-resolved.
-    """
-    width = gap.width
-    direction = FAMILIES[side].direction
-    active: list[dict] = []
-    finished: list[dict] = []
-    ambiguous = False
-    for j, xi in enumerate(xis):
-        roots = list(roots_per_xi[j])
-        preds = [c["mu"][-1] + c["slope"] * (xi - c["xi"][-1]) for c in active]
-        pairs = sorted(
-            (abs(r - p), ci, ri)
-            for ci, p in enumerate(preds)
-            for ri, r in enumerate(roots)
-        )
-        used_c: set[int] = set()
-        used_r: set[int] = set()
-        for dist, ci, ri in pairs:
-            if ci in used_c or ri in used_r:
-                continue
-            c = active[ci]
-            if len(c["mu"]) < 2:
-                # slope unknown; accept anything up to the displacement cap
-                tol = 0.25 * width
-            else:
-                tol = max(6.0 * abs(c["slope"]) * dxi, 0.05 * width)
-            if dist > tol:
-                continue
-            # a step against the family's direction is never a continuation
-            if direction * (roots[ri] - c["mu"][-1]) < -0.5 * tol:
-                continue
-            rivals = [d for d, c2, r2 in pairs
-                      if c2 == ci and r2 != ri and r2 not in used_r
-                      and d <= tol]
-            if rivals and min(rivals) < dist + 0.5 * tol:
-                ambiguous = True
-            c["xi"].append(float(xi))
-            c["mu"].append(float(roots[ri]))
-            if len(c["mu"]) >= 2:
-                c["slope"] = ((c["mu"][-1] - c["mu"][-2])
-                              / (c["xi"][-1] - c["xi"][-2]))
-            used_c.add(ci)
-            used_r.add(ri)
-        survivors = []
-        for ci, c in enumerate(active):
-            if ci in used_c:
-                survivors.append(c)
-            else:
-                finished.append(c)
-        active = survivors
-        for ri, r in enumerate(roots):
-            if ri not in used_r:
-                active.append({"xi": [float(xi)], "mu": [float(r)],
-                               "slope": 0.0})
-    finished.extend(active)
-    return finished, ambiguous
-
-
-def _curve_events(side: str, raw: dict, xis: np.ndarray, gap: Gap,
-                  dxi: float):
-    """Edge events of an assembled curve of two or more samples, with its
-    true-edge crossings.
-
-    An end that lies inside the offset grid is an edge event when it sits
-    within a band of its trimmed edge; the band widens with the slope of
-    that end's own step, along which the crossing is extrapolated.
+    Right values fall and never cross (left ones rise), so in each step the
+    lowest values of the step's start exit through the lower edge and the
+    highest of its end enter through the upper one: the fewest exits that
+    leave every continued value falling.  A curve that starts inside the
+    grid entered, one that ends inside it exited.  Curves are listed in the
+    order they end.
     """
     family = FAMILIES[side]
-    cxi = np.array(raw["xi"])
-    cmu = np.array(raw["mu"])
+    flip = -family.direction   # flip * mu falls on either side
+    active, done = [], []      # (first offset index, flip * mu samples)
+    for j, v in enumerate(values):
+        u = np.sort(flip * v)
+        ends = [c[1][-1] for c in active]
+        exits = next(e for e in range(len(ends) + 1)
+                     if len(u) >= len(ends) - e
+                     and all(x <= y for x, y in zip(u, ends[e:])))
+        done += active[:exits]
+        active = active[exits:]
+        for c, x in zip(active, u):
+            c[1].append(x)
+        active += [(j, [x]) for x in u[len(active):]]
+    curves = []
+    for first, us in done + active:
+        last = first + len(us) - 1
+        if last == first:
+            continue
+        events = tuple(event for event, inside in (
+            (family.entry_event, first > 0),
+            (family.exit_event, last < len(xis) - 1)) if inside)
+        curves.append(DirichletCurve(side=side, gap=gap,
+                                     xi=xis[first:last + 1],
+                                     mu=flip * np.array(us),
+                                     events=events or (PERSISTS,)))
+    return curves
 
-    def crossing(end, inner, edge):
-        slope = (cmu[end] - cmu[inner]) / (cxi[end] - cxi[inner])
-        band = max(4.0 * abs(slope) * dxi, 0.08 * gap.width)
-        if not _near_edge(cmu[end], gap, edge, band):
-            return None
-        rise = _edge_energy(gap, edge) - cmu[end]
-        return cxi[end] + (rise / slope if slope else 0.0)
 
-    starts_inside = cxi[0] > xis[0] + 0.5 * dxi
-    ends_inside = cxi[-1] < xis[-1] - 0.5 * dxi
-    entry_xi = crossing(0, 1, family.entry_edge) if starts_inside else None
-    exit_xi = crossing(-1, -2, family.exit_edge) if ends_inside else None
-    events = [event for event, x in ((family.entry_event, entry_xi),
-                                     (family.exit_event, exit_xi))
-              if x is not None]
-    if not starts_inside and not ends_inside:
-        events.append(PERSISTS)
-    return tuple(events), entry_xi, exit_xi
+@dataclass(frozen=True, eq=False)
+class Flow:
+    """Each side's Dirichlet values in the trimmed gap at every offset of a
+    uniform grid, one ascending array per offset.
+
+    The labels read the phase sums at the offsets; as a sequence the flow
+    is its curves, built by rank, for display and the derivative check.
+    """
+
+    gap: Gap
+    xi: np.ndarray
+    values: dict[str, list[np.ndarray]]
+
+    @cached_property
+    def lifts(self) -> dict[str, np.ndarray]:
+        """Each side's phase 2 pi sum (mu - E_-)/|gap| at every offset, each
+        step folded into [-pi, pi], which trace_flow certifies to be the
+        true change."""
+        out = {}
+        for side, values in self.values.items():
+            raw = np.array([circle_phase(v, (), self.gap, "right_only")
+                            for v in values])
+            d = np.diff(raw)
+            d -= TWO_PI * np.round(d / TWO_PI)
+            out[side] = raw[0] + np.concatenate([[0.0], np.cumsum(d)])
+        return out
+
+    @cached_property
+    def curves(self) -> tuple[DirichletCurve, ...]:
+        return tuple(c for side, values in self.values.items()
+                     for c in _rank_curves(side, self.gap, self.xi, values))
+
+    def __iter__(self):
+        return iter(self.curves)
+
+    def __len__(self) -> int:
+        return len(self.curves)
+
+
+def _certify(flow: Flow, side: str, reach: float, mu_tol: float) -> float:
+    """The largest bound B of a step of the side's lift; FlowResolutionError
+    where a step with B < pi folds more than B allows.
+
+    Each value moves at most reach per step.  A step between offsets with
+    r0 and r1 values then changes the phase by at most B = max(r0 + r1, 1)
+    2 pi reach/|gap|, plus 2 pi margin_fraction for each value that may
+    enter or leave the trimmed gap (one within reach of its edges), plus
+    the polishing tolerance of every value.  Where B < pi, that makes the
+    folded change the true one.
+    """
+    gap = flow.gap
+    lo, hi = gap.trimmed()
+    values = flow.values[side]
+    r = np.array([len(v) for v in values])
+    edge = np.array([np.sum((v < lo + reach) | (v > hi - reach))
+                     for v in values])
+    per = TWO_PI / gap.width
+    b = np.maximum(r[:-1] + r[1:], 1) * reach * per
+    allowed = b + per * ((edge[:-1] + edge[1:]) * gap.margin
+                         + (r[:-1] + r[1:]) * mu_tol)
+    d = np.abs(np.diff(flow.lifts[side]))
+    log.debug("trace_flow: %s lift over %d offsets, largest fold %.3g of B",
+              side, len(r), np.max(d / np.maximum(b, np.finfo(float).tiny)))
+    bad = np.nonzero((b < math.pi) & (d > allowed))[0]
+    if len(bad):
+        k = bad[0]
+        x0, x1 = (float(x) for x in flow.xi[k:k + 2])
+        raise FlowResolutionError(
+            f"{side} Dirichlet values in gap ({gap.e_lower:.6g}, "
+            f"{gap.e_upper:.6g}) jump between xi = {x0!r} and xi = {x1!r}: "
+            f"folded phase step {d[k]:.3g} rad, B = {b[k]:.3g}")
+    return float(np.max(b))
 
 
 def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
                dxi: float, L: float = 60.0, *, sides=(RIGHT,),
-               mu_tol: float = 1e-7, rtol: float = 1e-8,
-               max_halvings: int = 3) -> list[DirichletCurve]:
-    """Assemble the Dirichlet-value curves over an offset sweep.
+               mu_tol: float = 1e-7, rtol: float = 1e-8) -> Flow:
+    """Each side's Dirichlet values over an offset grid, with certified
+    lifts of their phase.
 
-    The offset step is halved (up to max_halvings times) whenever the
-    continuation is ambiguous or a curve moves more than 20% of the gap
-    width per step.  mu_tol is ten times rtol, as in beta: the phase noise
-    of a pass moves the values by about that, which finer polishing splits.
+    One window scan gives the values at every offset of the grid from
+    xi_from to xi_to at step dxi.  By Hellmann-Feynman a value moves at most
+    sup|V'| per unit offset, so a step s between offsets holding r0 and r1
+    values moves a side's phase by at most B = max(r0 + r1, 1) sigma s, with
+    sigma = 2 pi sup|V'|/|gap|; _certify checks every fold against it.
+    Where a step has B >= pi, the grid step is divided by the power of two
+    that the scan's counts call for, and the scan repeated.  mu_tol is ten
+    times rtol, as in beta: the phase noise of a pass moves the values by
+    about that, which finer polishing splits.
     """
     if not xi_to > xi_from:
         raise ValueError("need xi_from < xi_to")
+    speed = slope_bound(spec)
     step = float(dxi)
-    for _ in range(max_halvings + 1):
+    while True:
         xis = _xi_grid(xi_from, xi_to, step)
-        found = _window_scan(spec, gap, xis, L, sides, mu_tol=mu_tol,
-                             rtol=rtol)
-        curves: list[DirichletCurve] = []
-        for side in sides:
-            raw_curves, ambiguous = _assemble_side(side, xis, found[side],
-                                                   gap, step)
-            raw_curves = [raw for raw in raw_curves if len(raw["mu"]) >= 2]
-            if ambiguous or any(
-                    np.max(np.abs(np.diff(raw["mu"]))) > 0.2 * gap.width
-                    for raw in raw_curves):
-                break
-            for raw in raw_curves:
-                events, entry_xi, exit_xi = _curve_events(side, raw, xis,
-                                                          gap, step)
-                curves.append(DirichletCurve(
-                    side=side, gap=gap,
-                    xi=np.array(raw["xi"]), mu=np.array(raw["mu"]),
-                    events=events, entry_xi=entry_xi, exit_xi=exit_xi))
-        else:
-            return curves
-        step *= 0.5
-    raise FlowResolutionError(
-        f"flow not resolved at dxi={step * 2} after {max_halvings} halvings")
+        flow = Flow(gap=gap, xi=xis, values=_window_scan(
+            spec, gap, xis, L, sides, mu_tol=mu_tol, rtol=rtol))
+        worst = max(_certify(flow, side, speed * (xis[1] - xis[0]), mu_tol)
+                    for side in sides)
+        if worst < math.pi:
+            return flow
+        step /= 2.0 ** (math.floor(math.log2(worst / math.pi)) + 1)
+        log.debug("trace_flow: B reached %.3g, offset step shrunk to %r",
+                  worst, step)
 
 
 @dataclass(frozen=True)
@@ -672,82 +655,16 @@ def mu_tilde(spec: PotentialSpec, gap: Gap, xi: float, L: float = 60.0,
     return cmath.exp(1j * circle_phase(rights, lefts, gap, variant))
 
 
-def _min_jump_lift(raw: np.ndarray) -> np.ndarray:
-    d = np.diff(raw)
-    d = d - TWO_PI * np.round(d / TWO_PI)
-    # counted, not raised: a fold near pi may have taken the wrong branch
-    log.debug("phase_lift: largest folded step %.3g rad, %d above pi/2",
-              np.max(np.abs(d), initial=0.0), np.sum(np.abs(d) > 0.5 * math.pi))
-    return raw[0] + np.concatenate([[0.0], np.cumsum(d)])
-
-
-def _pair_top_edge_events(curves, xis):
-    """Snap coincident upper-edge events to one common crossing offset.
-
-    A right curve entering through the upper edge and a left curve exiting
-    there are the same spectral event (at a band edge the two decaying
-    solutions merge), so in the two-sided circle map their pi-sized phase
-    contributions must cancel exactly.  Linear extrapolation puts the two
-    crossings slightly apart; snapping both to the midpoint keeps the raw
-    phase sum continuous for the minimal-jump unwrap.  Returns the curves
-    in order, the paired ones with their crossings replaced.
-    """
-    dxi = float(xis[1] - xis[0]) if len(xis) > 1 else 0.1
-    pair_tol = max(8.0 * dxi, 0.5)
-    snapped: dict[int, DirichletCurve] = {}
-    lefts = [c for c in curves
-             if c.side == LEFT and c.exit_xi is not None]
-    used: set[int] = set()
-    for rc in curves:
-        if rc.side != RIGHT or rc.entry_xi is None:
-            continue
-        best = None
-        for lc in lefts:
-            if id(lc) in used:
-                continue
-            d = abs(rc.entry_xi - lc.exit_xi)
-            if best is None or d < best[0]:
-                best = (d, lc)
-        if best is not None and best[0] <= pair_tol:
-            lc = best[1]
-            mid = 0.5 * (rc.entry_xi + lc.exit_xi)
-            mid = min(max(mid, float(lc.xi[-1]) + 1e-9),
-                      float(rc.xi[0]) - 1e-9)
-            snapped[id(rc)] = replace(rc, entry_xi=mid)
-            snapped[id(lc)] = replace(lc, exit_xi=mid)
-            used.add(id(lc))
-    return [snapped.get(id(c), c) for c in curves]
-
-
-def phase_lift(curves, gap: Gap, xis: np.ndarray,
-               variant: str = "right_only") -> np.ndarray:
-    """Continuous lift of arg(mu_tilde) along an offset grid.
-
-    Each curve contributes its phase fraction on its span, extended linearly
-    to the interpolated true-edge crossing; the per-sample sums are then
-    unwrapped by minimal-jump selection, which is exact once consecutive
-    samples move the phase by less than pi.
-    """
-    if variant not in ("right_only", "two_sided"):
-        raise ValueError(f"unknown variant {variant!r}")
-    width = gap.width
+def phase_lift(flow: Flow, variant: str = "right_only") -> np.ndarray:
+    """Lift of arg(mu_tilde) on the flow's grid: the right lift, or for the
+    two-sided variant half the difference of the right and left lifts.  An
+    upper-edge right entry and the left exit it meets each fold their 2 pi
+    inside their own side's lift."""
+    if variant == "right_only":
+        return flow.lifts[RIGHT]
     if variant == "two_sided":
-        curves = _pair_top_edge_events(curves, xis)
-    else:
-        curves = [c for c in curves if c.side == RIGHT]
-    raw = np.zeros(len(xis))
-    for c in curves:
-        # two-sided: pi (r - l), each family counted against its direction
-        weight = (TWO_PI / width if variant == "right_only"
-                  else -FAMILIES[c.side].direction * math.pi / width)
-        cxi, cmu = c.extended()
-        cmu = np.clip(cmu, gap.e_lower, gap.e_upper)
-        mask = (xis >= cxi[0]) & (xis <= cxi[-1])
-        if not np.any(mask):
-            continue
-        vals = np.interp(xis[mask], cxi, cmu)
-        raw[mask] += weight * (vals - gap.e_lower)
-    return _min_jump_lift(raw)
+        return 0.5 * (flow.lifts[RIGHT] - flow.lifts[LEFT])
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -762,46 +679,41 @@ class BetaResult:
     lift: np.ndarray = field(repr=False, default=None)
 
 
-def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
-         dxi: float = 0.1, L: float = 60.0, variant: str = "right_only", *,
-         flow=None, mu_tol: float = 1e-7, rtol: float = 1e-8) -> BetaResult:
-    """Dirichlet rotation number: minus the rotation of arg(mu_tilde)/2 pi.
-
-    Unless a flow is supplied, it is traced once over the largest chain
-    window (both curve families for the two-sided variant); trace_flow
-    itself halves dxi while the curves are under-resolved.  The circle-map
-    phase lift is assembled on the dxi grid and the rotation number is taken
-    over the offset windows.
-    """
-    chain = chain or default_xi_chain()
-    a_big, b_big = chain.largest
-    if flow is None:
-        sides = (RIGHT,) if variant == "right_only" else (RIGHT, LEFT)
-        flow = trace_flow(spec, gap, a_big, b_big, dxi, L, sides=sides,
-                          mu_tol=mu_tol, rtol=rtol)
-    xis = _xi_grid(a_big, b_big, dxi)
-    phi = phase_lift(flow, gap, xis, variant)
-
-    def lift_fn(x):
-        return float(np.interp(x, xis, phi))
-
-    rot = rotation.rotation_number(lift_fn, chain)
-    values = tuple((i, -v / TWO_PI) for i, v in rot.window_values)
-    mean = rotation.LambdaMean(
-        window_values=values,
+def lift_rotation(xis: np.ndarray, phi: np.ndarray,
+                  chain: WindowChain) -> rotation.LambdaMean:
+    """Minus the rotation number over 2 pi of the lift phi sampled on xis,
+    by window."""
+    rot = rotation.rotation_number(
+        lambda x: float(np.interp(x, xis, phi)), chain)
+    return rotation.LambdaMean(
+        window_values=tuple((i, -v / TWO_PI) for i, v in rot.window_values),
         extrapolated=-rot.extrapolated / TWO_PI,
         error_estimate=rot.error_estimate / TWO_PI,
         diverged=rot.diverged)
+
+
+def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
+         dxi: float = 0.1, L: float = 60.0, variant: str = "right_only", *,
+         flow: Flow | None = None, mu_tol: float = 1e-7,
+         rtol: float = 1e-8) -> BetaResult:
+    """Dirichlet rotation number: minus the rotation of arg(mu_tilde)/2 pi.
+
+    Unless a flow is supplied, it is traced once over the largest chain
+    window (both sides for the two-sided variant).  The rotation number is
+    taken over the offset windows of the flow's certified phase lift.
+    """
+    chain = chain or default_xi_chain()
+    if flow is None:
+        sides = (RIGHT,) if variant == "right_only" else (RIGHT, LEFT)
+        flow = trace_flow(spec, gap, *chain.largest, dxi, L, sides=sides,
+                          mu_tol=mu_tol, rtol=rtol)
+    phi = phase_lift(flow, variant)
+    mean = lift_rotation(flow.xi, phi, chain)
     return BetaResult(value=mean.extrapolated,
                       error_estimate=mean.error_estimate,
-                      mean=mean, variant=variant, xi_grid=xis, lift=phi)
+                      mean=mean, variant=variant, xi_grid=flow.xi, lift=phi)
 
 
-def max_dirichlet_count(curves, xis: np.ndarray) -> int:
-    """Largest number of simultaneously active right curves on the grid."""
-    count = np.zeros(len(xis), dtype=int)
-    for c in curves:
-        if c.side != RIGHT:
-            continue
-        count += ((xis >= c.xi[0] - 1e-12) & (xis <= c.xi[-1] + 1e-12))
-    return int(np.max(count)) if len(xis) else 0
+def max_dirichlet_count(flow: Flow) -> int:
+    """Largest number of right values at one offset of the flow."""
+    return max(map(len, flow.values[RIGHT]), default=0)

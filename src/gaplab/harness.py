@@ -219,7 +219,7 @@ def edge_state_labels(config: ExperimentConfig, gap: Gap, flow):
     pt = klabel.pi_trace(config.potential, gap, (-w, w), config.dxi,
                          config.L, config.h,
                          mass_threshold=config.mass_threshold)
-    pc = klabel.pi_curves(flow, gap, config.xi_chain, dxi=config.dxi)
+    pc = klabel.pi_curves(flow, gap, config.xi_chain)
     bf = klabel.boundary_force(flow, gap, config.xi_chain)
     return pt, pc, bf
 

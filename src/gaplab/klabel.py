@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import dirichlet, lattice, potentials, rotation
-from .dirichlet import phase_lift, _xi_grid
 from .potentials import PotentialSpec, WindowChain
 from .spectrum import Gap
 
@@ -311,16 +310,16 @@ def pi_curves(flow, gap: Gap, chain: WindowChain | None = None, *,
               dxi: float = 0.1) -> KLabelResult:
     """Curve-formula gap label: the window mean of (conj(mu_tilde) - 1) mu_tilde'.
 
-    With mu_tilde = exp(i Phi) and Phi the right-only phase lift of the flow
-    on the dxi grid, the integrand is i Phi' - (exp(i Phi))', so the label
-    is the rotation number of (sin Phi - Phi)/2 pi, with the normalization of
-    the trace formula; the imaginary part is that of (1 - cos Phi)/2 pi.
+    With mu_tilde = exp(i Phi) and Phi the flow's right phase lift on its
+    own grid, the integrand is i Phi' - (exp(i Phi))', so the label is the
+    rotation number of (sin Phi - Phi)/2 pi, with the normalization of the
+    trace formula; the imaginary part is that of (1 - cos Phi)/2 pi.  dxi
+    keeps its place for callers but is unused.
     """
     chain = chain or dirichlet.default_xi_chain()
-    xis = _xi_grid(*chain.largest, dxi)
-    phi = phase_lift(flow, gap, xis, variant="right_only")
-    real = _end_differences((np.sin(phi) - phi) / TWO_PI, xis, chain)
-    imag = _end_differences((1.0 - np.cos(phi)) / TWO_PI, xis, chain)
+    phi = dirichlet.phase_lift(flow)
+    real = _end_differences((np.sin(phi) - phi) / TWO_PI, flow.xi, chain)
+    imag = _end_differences((1.0 - np.cos(phi)) / TWO_PI, flow.xi, chain)
     # small windows carry large boundary terms; only the tail is diagnostic
     residue = max(abs(v) for _, v in imag.window_values[-3:])
     return KLabelResult(value=real.extrapolated,
@@ -341,20 +340,14 @@ def boundary_force(flow, gap: Gap,
     """Mean boundary force per unit energy exerted by the in-gap edge states.
 
     The window mean of -mu'(xi) |D_xi| / |gap| over the flow: the rotation
-    number of minus the summed right-curve energies over |gap|, each curve
-    held at the end energies of its extensions to the true edges outside its
-    span, so that it contributes its energy drop across the window.
-    Computed regardless, but only within the simplifying hypothesis
-    max |D_xi| <= 1 is the single-curve reduction exact.
+    number of minus the summed right values over |gap|, which is the right
+    phase lift over -2 pi, the lift of beta_right.  Computed regardless, but
+    only within the simplifying hypothesis max |D_xi| <= 1 is the
+    single-curve reduction exact.
     """
     chain = chain or dirichlet.default_xi_chain()
-    curves = [c.extended() for c in flow if c.side == dirichlet.RIGHT]
-    mean = rotation.rotation_number(
-        lambda x: -sum(float(np.interp(x, cxi, cmu)) for cxi, cmu in curves)
-        / gap.width, chain)
-    a_big, b_big = chain.largest
-    xis = _xi_grid(a_big, b_big, 0.05)
-    dmax = dirichlet.max_dirichlet_count(flow, xis)
+    mean = dirichlet.lift_rotation(flow.xi, dirichlet.phase_lift(flow), chain)
+    dmax = dirichlet.max_dirichlet_count(flow)
     return BoundaryForceResult(value=mean.extrapolated,
                                error_estimate=mean.error_estimate,
                                max_dirichlet_count=dmax,

@@ -192,31 +192,12 @@ def test_phase_lift_continuity_across_exit(flow_gap1_period, gap1):
     # the lift stays continuous while the curve leaves through the lower
     # edge: mu -> E0 contributes vanishing phase.  The minimal-jump unwrap
     # folds every step into [-pi, pi], so only a tighter bound can fail.
-    xis = np.linspace(0.0, 2.0 * math.pi, 126)
     for variant in ("right_only", "two_sided"):
-        phi = dirichlet.phase_lift(flow_gap1_period, gap1, xis, variant)
+        phi = dirichlet.phase_lift(flow_gap1_period, variant)
         assert np.max(np.abs(np.diff(phi))) < 0.5 * math.pi
         # one passage per period: net drop of one full turn
         assert (phi[-1] - phi[0]) / (2.0 * math.pi) == pytest.approx(
             -1.0, abs=0.05)
-
-
-@pytest.mark.parametrize("side, mu, event", [
-    (dirichlet.RIGHT, [0.85, 0.60, 0.45, 0.44], dirichlet.ENTERS_UPPER),
-    (dirichlet.LEFT, [0.15, 0.40, 0.55, 0.56], dirichlet.ENTERS_LOWER),
-])
-def test_curve_entry_tested_with_entry_slope(side, mu, event):
-    # steep first step, flat last step: the entry lies 0.14 inside the
-    # trimmed edge, outside the band of the flat exit slope (0.08) but
-    # inside the band of the entry slope
-    gap = Gap(0.0, 1.0)
-    xis = np.round(np.arange(0.0, 3.05, 0.1), 12)
-    raw = {"xi": [1.0, 1.1, 1.2, 1.3], "mu": mu}
-    events, entry_xi, exit_xi = dirichlet._curve_events(side, raw, xis, gap,
-                                                        0.1)
-    assert events == (event,)
-    assert entry_xi == pytest.approx(0.94)
-    assert exit_xi is None
 
 
 def test_beta_first_gap(mathieu, gap1, xi_chain, flow_gap1):
@@ -249,10 +230,74 @@ def test_beta_origin_shift_invariance(mathieu, gap1):
     assert abs(r0.value - r1.value) <= r0.error_estimate + r1.error_estimate
 
 
-def test_max_dirichlet_count_first_gap(flow_gap1, xi_chain):
-    a, b = xi_chain.largest
-    xis = np.linspace(a, b, 2000)
-    assert dirichlet.max_dirichlet_count(flow_gap1, xis) == 1
+def test_max_dirichlet_count_first_gap(flow_gap1):
+    assert dirichlet.max_dirichlet_count(flow_gap1) == 1
+
+
+def test_two_sided_beta_without_edge_pairing(mathieu):
+    # at L 30 a right value of gap 2 enters through the upper edge at
+    # -10.1, next to the grid start, with no left exit beside it: the right
+    # lift must fold that entry on its own
+    gap = Gap(*mathieu_gap_edges(2))
+    chain = WindowChain.geometric(6.5, 1.6, 2)
+    flow = dirichlet.trace_flow(mathieu, gap, *chain.largest, 0.1, 30.0,
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
+    right = dirichlet.beta(mathieu, gap, chain, flow=flow)
+    both = dirichlet.beta(mathieu, gap, chain, flow=flow, variant="two_sided")
+    assert abs(both.value - 1.0 / math.pi) <= both.error_estimate
+    assert abs(both.value - right.value) < 1e-12
+
+
+def test_swapped_value_raises_naming_gap_and_offsets(monkeypatch, mathieu,
+                                                     gap1):
+    # one offset's value replaced by an energy 0.47 away, as the scan of
+    # the golden gap swaps values at 9.448
+    scan = dirichlet._window_scan
+    named = []
+
+    def swapped(spec, gap, offsets, *args, **kwargs):
+        found = scan(spec, gap, offsets, *args, **kwargs)
+        right = found[dirichlet.RIGHT]
+        k = next(k for k in range(1, len(right))
+                 if len(right[k - 1]) == len(right[k]) == 1)
+        mu = right[k][0]
+        right[k] = np.array([mu + 0.47 if mu < gap.mid else mu - 0.47])
+        named[:] = [float(offsets[k - 1]), float(offsets[k])]
+        return found
+
+    monkeypatch.setattr(dirichlet, "_window_scan", swapped)
+    with pytest.raises(dirichlet.FlowResolutionError) as err:
+        dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.05, 30.0)
+    assert f"({gap1.e_lower:.6g}, {gap1.e_upper:.6g})" in str(err.value)
+    assert f"xi = {named[0]!r} and xi = {named[1]!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("side, mu, leaves, enters", [
+    (dirichlet.RIGHT, [0.5, 0.3, 0.05, 0.95, 0.7], dirichlet.EXITS_LOWER,
+     dirichlet.ENTERS_UPPER),
+    (dirichlet.LEFT, [0.5, 0.7, 0.95, 0.05, 0.3], dirichlet.EXITS_UPPER,
+     dirichlet.ENTERS_LOWER),
+])
+def test_rank_curves_split_exit_and_entry_in_one_step(side, mu, leaves,
+                                                      enters):
+    # one value leaves and one enters between the third and fourth offset
+    gap = Gap(0.0, 1.0)
+    xis = np.linspace(0.0, 0.4, 5)
+    flow = dirichlet.Flow(gap, xis, {side: [np.array([m]) for m in mu]})
+    first, second = flow
+    assert first.events == (leaves,) and list(first.mu) == mu[:3]
+    assert second.events == (enters,) and list(second.mu) == mu[3:]
+    assert list(second.xi) == list(xis[3:])
+
+
+def test_step_shrinks_to_the_slope_bound(mathieu, gap1):
+    # at dxi 0.3 a step between two offsets with one value each has
+    # B = 2 sigma dxi > pi; one halving brings it below
+    flow = dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.3, 30.0)
+    step = flow.xi[1] - flow.xi[0]
+    assert step == pytest.approx(0.15, rel=0.01)
+    sigma = 2.0 * math.pi * 2.0 / gap1.width
+    assert 2.0 * sigma * 0.3 >= math.pi > 2.0 * sigma * step
 
 
 def test_second_gap_flow_through_artifact_crossing(mathieu, gap2):
@@ -429,12 +474,9 @@ def test_one_offset_window_artifact_in_gap(mathieu, gap1):
 
 def test_window_scan_and_phase_lift_log_at_debug_level(caplog, mathieu,
                                                        gap1):
-    xis = dirichlet._xi_grid(0.0, 2.0 * math.pi, 0.1)
     with caplog.at_level(logging.DEBUG, logger="gaplab.dirichlet"):
-        flow = dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.1,
-                                    30.0, sides=(dirichlet.RIGHT,
-                                                 dirichlet.LEFT))
-        dirichlet.phase_lift(flow, gap1, xis, "two_sided")
+        dirichlet.trace_flow(mathieu, gap1, 0.0, 2.0 * math.pi, 0.1, 30.0,
+                             sides=(dirichlet.RIGHT, dirichlet.LEFT))
     scans = re.findall(
         r"window scan \(([\w, ]+)\): (\d+) passes, (\d+) crossings, (\d+) "
         r"certified by the first stencil, (\d+) inverted brackets, (\d+) "
@@ -447,8 +489,10 @@ def test_window_scan_and_phase_lift_log_at_debug_level(caplog, mathieu,
     assert passes <= 3
     assert crossings > 0 and certified + kept <= crossings
     assert inverted == 0 and kept == 0
-    assert re.search(r"phase_lift: largest folded step \S+ rad, 0 above pi/2",
-                     caplog.text)
+    folds = re.findall(r"trace_flow: (\w+) lift over 64 offsets, largest "
+                       r"fold (\S+) of B", caplog.text)
+    assert [side for side, _ in folds] == ["right", "left"]
+    assert all(0.0 < float(f) < 1.0 for _, f in folds)
 
 
 @pytest.mark.parametrize("side", [dirichlet.RIGHT, dirichlet.LEFT])

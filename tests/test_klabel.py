@@ -380,20 +380,27 @@ def test_pi_trace_h_refinement(mathieu, gap1):
     assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
+def _empty_flow(gap):
+    xis = np.linspace(-6.5, 6.5, 3)
+    return dirichlet.Flow(gap, xis, {dirichlet.RIGHT: [np.empty(0)] * 3})
+
+
 def test_pi_curves_empty_flow_is_zero(gap1):
-    res = klabel.pi_curves([], gap1, WindowChain.geometric(4.0, 1.6, 3))
+    res = klabel.pi_curves(_empty_flow(gap1), gap1,
+                           WindowChain.geometric(4.0, 1.6, 3))
     assert res.value == 0.0
 
 
 def test_pi_curves_is_end_difference_of_lift(mathieu, gap1,
                                               flow_gap1_period):
-    chain = WindowChain.geometric(3.0, 1.6, 1, center=math.pi)
-    (a, b), = chain.windows
-    phi = dirichlet.beta(mathieu, gap1, chain, 0.05,
-                         flow=flow_gap1_period).lift
-    expected = -((phi[-1] - phi[0]) - (math.sin(phi[-1]) - math.sin(phi[0]))
-                 ) / (2.0 * math.pi * (b - a))
-    pc = klabel.pi_curves(flow_gap1_period, gap1, chain, dxi=0.05)
+    # a window whose ends are offsets of the flow's grid
+    xis = flow_gap1_period.xi
+    i, j = 3, len(xis) - 4
+    chain = WindowChain(((float(xis[i]), float(xis[j])),))
+    phi = dirichlet.beta(mathieu, gap1, chain, flow=flow_gap1_period).lift
+    expected = -((phi[j] - phi[i]) - (math.sin(phi[j]) - math.sin(phi[i]))
+                 ) / (2.0 * math.pi * (xis[j] - xis[i]))
+    pc = klabel.pi_curves(flow_gap1_period, gap1, chain)
     assert abs(pc.value - expected) < 1e-12
 
 
@@ -410,7 +417,8 @@ def test_pi_curves_matches_pi_trace(mathieu, gap1, xi_chain, flow_gap1):
 
 
 def test_boundary_force_empty_flow_is_zero(gap1):
-    res = klabel.boundary_force([], gap1, WindowChain.geometric(4.0, 1.6, 3))
+    res = klabel.boundary_force(_empty_flow(gap1), gap1,
+                                WindowChain.geometric(4.0, 1.6, 3))
     assert res.value == 0.0
     assert res.max_dirichlet_count == 0
 
