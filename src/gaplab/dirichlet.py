@@ -126,7 +126,7 @@ def _scan_theta(spec, energies, offsets, L, side, rtol, landing=0.0):
 
 def _interpolant(nodes, values, kept, rows):
     """Barycentric interpolant through the nodes kept[rows] of each row of
-    values; it maps an array of energies, one per row, to values."""
+    values; p(e, sub) maps energies, one per row of rows sub, to values."""
     t = (2.0 * nodes - nodes[0] - nodes[-1]) / (nodes[-1] - nodes[0])
     gaps = t[:, None] - t[None, :]
     np.fill_diagonal(gaps, 1.0)
@@ -135,11 +135,11 @@ def _interpolant(nodes, values, kept, rows):
     w = (w / np.max(np.abs(w), axis=-1, keepdims=True))[rows]
     values = np.where(kept[rows], values, 0.0)
 
-    def p(e):
+    def p(e, sub):
         d = np.asarray(e, dtype=float)[..., None] - nodes
         d[d == 0.0] = 1e-300
-        q = w / d
-        return np.sum(q * values, axis=-1) / np.sum(q, axis=-1)
+        q = w[sub] / d
+        return np.sum(q * values[sub], axis=-1) / np.sum(q, axis=-1)
 
     return p
 
@@ -234,6 +234,7 @@ def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
     artifact of a block (_artifact_band) leaves the genuine crossings.  Each
     is estimated from the Chebyshev interpolant of the corrected phase and
     polished on its block's own pass, to mu_tol, by stencil Newton steps
+    that start from the window pass's phases at the ends of its slab
     (_polish), and logged at debug level.  Returns, per side, one ascending
     array per offset.
     """
@@ -280,14 +281,17 @@ def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
         anchors = w.anchors[c[k]] + np.where(w.side[c[k]] == LEFT, s, -s)
         landing, at = np.unique(w.landing[j[k]] + s, return_inverse=True)
         th = _scan_theta(spec, e, anchors, L, w.side[c[k]], rtol, landing)
-        return np.take_along_axis(th, at[None, None], 0)[0]
+        return th[at, ..., np.arange(len(at))].T   # each at its own point
 
-    roots, counts = _polish(phase, estimate, energies[lo_node],
-                            energies[hi_node], shared, mu_tol)
-    log.debug("window scan (%s): %d passes, %d crossings, %d certified by "
-              "the first stencil, %d inverted brackets, %d polished at the "
+    roots, points, counts = _polish(
+        phase, estimate, energies[lo_node], energies[hi_node],
+        (w.phase[j, lo_node, c], w.phase[j, hi_node, c]), shared, mu_tol)
+    log.debug("window scan (%s): %d passes, %d crossings, %d points in the "
+              "polish pass, %d Newton passes after it, %d certified by the "
+              "first stencil, %d inverted brackets, %d polished at the "
               "second truncation, %d estimates kept unpolished",
-              ", ".join(sides), passes[0], len(j), *counts)
+              ", ".join(sides), passes[0], len(j), points, passes[0] - 2,
+              *counts)
     out = {side: [[] for _ in range(n)] for side in sides}
     lo, hi = gap.trimmed()
     for side, k, mu in zip(w.side[c], w.index[j, c], roots):
@@ -297,39 +301,39 @@ def _window_scan(spec: PotentialSpec, gap: Gap, offsets: np.ndarray,
             for side, vals in out.items()}
 
 
-def _polish(phase, estimate, e_lo, e_hi, shared, tol):
+def _polish(phase, estimate, e_lo, e_hi, ends, shared, tol):
     """Polish crossings of multiples of pi by an increasing phase.
 
     phase(e, c, moved) is the phase of crossings c at energies e, at the
     scan's truncation or, where moved, at a longer one, which moves the
-    artifact away.  One pass takes it at the ends of each estimate's slab
-    [e_lo, e_hi] and tol / 2 either side of the estimate (bisect's first
-    stencil): at the longer truncation where the slab is shared with the
-    artifact, whose nearness also shifts a value, and else at the scan's.
-    A slab that holds one multiple of pi is searched; a shared one that
-    does not at the longer truncation falls back to the scan's, and else
-    its estimate is kept.  Returns the roots and counts: certified by the
+    artifact away.  ends are the phases at the ends of each estimate's slab
+    [e_lo, e_hi] on the window pass.  One pass, its points flattened and
+    each tagged with its crossing, evaluates the stencil tol / 2 either
+    side of every estimate (bisect's first): at the scan's truncation, or,
+    where the slab is shared with the artifact, whose nearness also shifts
+    a value, at the longer one, with the slab ends.  A slab that holds one
+    multiple of pi is searched, and else its estimate kept.  Returns the
+    roots, the number of points of the pass, and counts: certified by the
     first stencil, inverted, moved, kept.
     """
     n = len(estimate)
-    both = np.concatenate([np.arange(n), np.nonzero(shared)[0]])
-    moved = np.arange(len(both)) >= n
-    ends = phase(np.stack([e_lo, e_hi, estimate - 0.5 * tol,
-                           estimate + 0.5 * tol])[:, both], both, moved)
+    s = np.nonzero(shared)[0]
+    tag = np.r_[np.arange(n), np.arange(n), s, s]
+    th = phase(np.r_[estimate - 0.5 * tol, estimate + 0.5 * tol, e_lo[s],
+                     e_hi[s]], tag, shared[tag])
+    ends = np.stack([*ends, th[:n], th[n:2 * n]])
+    ends[:2, s] = th[2 * n:].reshape(2, -1)
     k = np.floor(ends[:2] / math.pi + 1e-12)
-    one = k[1] - k[0] == 1
-    alt = n - 1 + np.cumsum(shared)  # a shared crossing's moved entry
-    pick = np.where(shared & one[alt], alt, range(n))
-    ends, k, moved, one = (v[..., pick] for v in (ends, k, moved, one))
-    c = np.nonzero(one)[0]
+    c = np.nonzero(k[1] - k[0] == 1)[0]
     target = k[1, c] * math.pi
     roots = estimate.copy()
     below, above = prufer.bisect(
-        lambda e, rows: phase(e, c[rows], moved[c[rows]]), e_lo[c], e_hi[c],
+        lambda e, rows: phase(e, c[rows], shared[c[rows]]), e_lo[c], e_hi[c],
         target, tol, guess=estimate[c], ends=tuple(ends[:, c]), bracket=True)
     roots[c] = 0.5 * (below + above)
     certified = np.sum((ends[2, c] < target) & (ends[3, c] >= target))
-    return roots, (certified, np.sum(below > above), np.sum(moved), n - len(c))
+    return roots, len(tag), (certified, np.sum(below > above),
+                             np.sum(shared[c]), n - len(c))
 
 
 def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
@@ -518,7 +522,7 @@ def _refine_root_near(spec, gap, xi, mu_guess, side, L, *, tol, rtol,
     if not th[0] < target <= th[1]:
         lo, hi = lo_t, hi_t  # fall back to the full trimmed gap
     return float(prufer.bisect(
-        lambda e: _scan_theta(spec, e, xi, L, side, rtol),
+        lambda e, _: _scan_theta(spec, e, xi, L, side, rtol),
         lo, hi, target, tol))
 
 
@@ -580,7 +584,7 @@ def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side, *, dxi, rtol):
     if not targets:
         return np.empty(0)
     roots = np.sort(prufer.bisect(
-        lambda x: _scan_theta(spec, float(mu), x, L, side, rtol),
+        lambda x, _: _scan_theta(spec, float(mu), x, L, side, rtol),
         below, above, targets, 1e-11))
     t_check = _scan_theta(spec, float(mu), roots, STABILITY_FACTOR * L, side,
                           rtol)

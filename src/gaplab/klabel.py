@@ -171,11 +171,11 @@ def _rqi(op: HalflineOperator, gap: Gap, v: np.ndarray, tol: float):
 
 def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
     """(w, v, solves, bisected): in-gap pairs of op, polished from those of
-    start and, while the gap's Sturm count holds more, from dstein vectors
-    at a loose dstebz bisection of the gap; w = v = None unless, with
-    residuals r floored at tol = eps ||T||_1, they meet that count, the
-    [rho +- r] lie disjoint in it, and Kato-Temple bounds r^2/delta <= tol,
-    delta to next or edge."""
+    start and, while the gap's Sturm count holds more, from dstein vectors,
+    one call per eigenvalue, at a loose dstebz bisection of the gap; w = v =
+    None unless, with residuals r floored at tol = eps ||T||_1, they meet
+    that count, the [rho +- r] lie disjoint in it, and Kato-Temple bounds
+    r^2/delta <= tol, delta to next or edge."""
     d, e = op.diag, op.offdiag
     lo, hi = gap.e_lower, gap.e_upper
     tol = np.finfo(float).eps * float(np.max(np.abs(d)) - 2.0 * e[0])
@@ -188,9 +188,11 @@ def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
         loose = BISECT_TOL * gap.width
         m, w, _, split = lapack.dstebz(d, e, 1, lo, hi, 0, 0, loose, "B")[:4]
         new = [x for x in w[:m] if all(abs(k - x) > loose for k in known)]
-        if bisected := len(new):
-            z = lapack.dstein(d, e, new, np.ones(len(d), np.int32), split)[0]
-            pairs += [_rqi(op, gap, v, tol) for v in z.T]
+        bisected, block = len(new), np.ones(len(d), np.int32)
+        # one call per eigenvalue: a joint call reorthogonalizes the vectors
+        # of close ones, needless where the certificate checks the count
+        pairs += [_rqi(op, gap, lapack.dstein(d, e, [x], block, split)[0][:, 0],
+                       tol) for x in new]
     solves = sum(p[3] for p in pairs)
     found = sorted((p for p in pairs if lo < p[0] < hi), key=lambda p: p[0])
     rho, r, v = (np.array([p[i] for p in found]) for i in range(3))

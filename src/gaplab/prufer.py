@@ -20,8 +20,8 @@ pass can land on a monotone array of points on its way, returning theta at
 each, and carries theta modulo pi between them, so the error control does
 not loosen along a long pass.  Every question of the form "where does theta
 cross a target" is answered by the one vectorized bracketed search
-`bisect`: ITP steps, or Newton steps from two-point stencils when one pass
-evaluates all points.
+`bisect`: ITP steps, or Newton steps from stencils when one pass evaluates
+all points.
 """
 
 from __future__ import annotations
@@ -256,8 +256,9 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     monotone in the direction of integration; the result then has a leading
     axis over them.  A grid of one component runs integrate's plain-float
     path instead, with log r carried and controlled as there (atol for
-    both): about ten times faster than the numpy stepper at width one, and
-    bit-identical to integrate's endpoint.
+    both): about ten times faster than the numpy stepper at width one (a
+    median 10.7 over 15 paired 30-unit passes), and bit-identical to
+    integrate's endpoint.
 
     The numpy right-hand side is theta' = 1 + (E - 1 - V) sin^2(theta), with
     V(x + xi) by angle addition (potentials.offset_evaluator), so a stage
@@ -295,45 +296,57 @@ def bisect(theta_of, below, above, target, tol: float, ends=None,
            guess=None, bracket: bool = False):
     """Points where theta_of crosses target, by a joint search of brackets.
 
-    theta_of maps an array of points to an array of phases; below, above and
-    target broadcast.  `below` is the bracket end where theta < target and
-    `above` the end where theta >= target, in either order on the line, so
-    an increasing and a decreasing phase are both just an order of the ends.
-    Each step projects an interpolation point into the ball that keeps
-    bisection's guarantee (ITP: Oliveira & Takahashi, ACM TOMS 47, 2020;
-    kappa1 = 0.2 / width, kappa2 = 2): after one evaluation of the ends and
-    at most ceil(log2(width / tol)) steps (n0 = 0), width being the widest
-    bracket, every bracket is at most tol wide and its midpoint, returned,
-    within tol / 2 of a crossing.  Without a guess a step evaluates one
-    point, the truncated regula-falsi one, for a theta_of that pays per
-    point.  A first guess is for a theta_of whose points share one pass, so
-    one smooth phase: a step evaluates the stencil x -/+ tol / 2 (toward
-    below / above; the guess's goes with the ends), which straddles the
-    target, leaving a bracket tol wide, or moves an end and gives the
-    Newton point of the next step; theta_of(x, rows) gets the open brackets
-    (flat indices rows) only.  A point past an end that reads against
-    it (passes disagree) inverts the bracket and ends its search.  ends,
-    when the caller has them, are the phases of the first evaluation, and
-    add a step of slack (n0 = 1).  bracket returns the final (below, above)
-    instead.  Negating the bracket negates the result exactly.
+    theta_of(x, rows) maps points x, shaped (k, len(rows)), to phases at the
+    brackets still open, flat indices rows, which a pointwise theta_of
+    ignores.  below, above and target broadcast.  `below` is the bracket end
+    where theta < target and `above` the end where theta >= target, in
+    either order on the line, so an increasing and a decreasing phase are
+    both just an order of the ends.  Each step projects an interpolation
+    point into the ball that keeps bisection's guarantee (ITP: Oliveira &
+    Takahashi, ACM TOMS 47, 2020; kappa1 = 0.2 / width, kappa2 = 2): after
+    one evaluation of the ends and at most ceil(log2(width / tol)) steps
+    (n0 = 0), width being the widest bracket, every bracket is at most tol
+    wide and its midpoint, returned, within tol / 2 of a crossing.  Without
+    a guess a step evaluates one point, the truncated regula-falsi one, for
+    a theta_of that pays per point.  A first guess is for a theta_of whose
+    points share one pass, so one smooth phase: the guess's stencil x -/+
+    tol / 2 (toward below / above) goes with the ends, and each step
+    evaluates four points tol apart, x + (-3, -1, 1, 3) tol / 2, which the
+    phase noise between passes, about tol where the phase is flat, rarely
+    moves the crossing out of.  Two neighbours that straddle the target
+    leave a bracket tol wide; else the stencil moves an end and gives the
+    next x, the Newton point of the inverse phase bent through the bracket
+    end beyond the target (regula falsi on the ends if it leaves the
+    bracket).  x is kept where the ball would move it, so that a converging
+    iterate is not thrown away, and the projected point evaluated as well.
+    A point past an end that reads against it (passes disagree) inverts the
+    bracket and ends its search.  ends, when the caller has them, are the
+    phases of the first evaluation, and add a step of slack (n0 = 1).
+    bracket returns the final (below, above) instead.  Negating the bracket
+    negates the result exactly.
     """
     below, above, target = np.broadcast_arrays(
         np.asarray(below, dtype=float), np.asarray(above, dtype=float), target)
+    shape = below.shape
+    below, above, target = (np.ravel(v) for v in (below, above, target))
     if below.size == 0:
-        return (below, above) if bracket else np.empty(below.shape)
+        return (below, above) if bracket else np.empty(shape)
     width = float(np.max(np.abs(above - below)))
     n_max = (max(1, math.ceil(math.log2(max(width / tol, 2.0))))
              + (ends is not None))
     kappa1 = 0.2 / max(width, tol)
     toward = np.sign(above - below)
-    half = 0.5 * tol * toward
-    pts = [below, above] + ([] if guess is None else
-                            [guess - half, guess + half])
+    pts = [below, above]
+    if guess is not None:
+        guess = np.ravel(np.broadcast_to(guess, shape))
+        pts += [guess - 0.5 * tol * toward, guess + 0.5 * tol * toward]
     if ends is None:
-        ends = theta_of(np.stack(pts))
-    f_below, f_above, *vals = (np.asarray(t, dtype=float) - target
-                               for t in ends)
+        ends = theta_of(np.stack(pts), np.arange(below.size))
+    else:
+        ends = [np.ravel(np.broadcast_to(t, shape)) for t in ends]
+    f_below, f_above, *vals = (t - target for t in ends)
     pts = pts[2:]
+    q = len(pts) - 1   # the last point of the stencil
     live = np.ones(below.shape, dtype=bool)
     for step in range(n_max + 1):
         for x, fx in zip(pts, vals):  # the last evaluation moves the ends
@@ -348,26 +361,38 @@ def bisect(theta_of, below, above, target, tol: float, ends=None,
             break
         span = np.abs(span)
         mid = 0.5 * (below + above)
-        a, b, fa, fb = ((pts[0], pts[1], vals[0], vals[1]) if guess is not None
-                        else (below, above, f_below, f_above))
+        lo, hi = np.minimum(below, above), np.maximum(below, above)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_f = (b * fa - a * fb) / (fa - fb)
-        x_f = np.where(np.isfinite(x_f), np.clip(
-            x_f, np.minimum(below, above), np.maximum(below, above)), mid)
+            x_f = (above * f_below - below * f_above) / (f_below - f_above)
+            if guess is not None:
+                # Newton on the inverse phase x(theta), bent to pass through
+                # the bracket end beyond the target
+                x_c, f_c = 0.5 * (pts[0] + pts[q]), 0.5 * (vals[0] + vals[q])
+                slope = (pts[q] - pts[0]) / (vals[q] - vals[0])
+                x_b, f_b = np.where(f_c < 0, [above, f_above], [below, f_below])
+                bend = ((x_b - x_c) - (f_b - f_c) * slope) / (f_b - f_c) ** 2
+                x_n = x_c - f_c * slope + bend * f_c * f_c
+                x_f = np.where((x_n > lo) & (x_n < hi), x_n, x_f)
+        x_f = np.where(np.isfinite(x_f), np.clip(x_f, lo, hi), mid)
         sigma = np.sign(mid - x_f)
         if guess is None:  # truncation keeps regula falsi from stalling
             delta = kappa1 * span * span
             x_f = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = 0.5 * tol * 2.0 ** (n_max - step) - 0.5 * span
-        x = np.where(np.abs(x_f - mid) <= radius, x_f, mid - sigma * radius)
+        kept = np.abs(x_f - mid) <= radius
+        x = np.where(kept, x_f, mid - sigma * radius)
         if guess is None:
             pts = [x]
-            vals = list(theta_of(np.stack(pts)) - target)
         else:
-            pts, vals = [x - half, x + half], np.array(vals)
-            vals[:, live] = (theta_of(np.stack(pts)[:, live],
-                                      np.flatnonzero(live)) - target[live])
-    return (below, above) if bracket else 0.5 * (below + above)
+            pts = [x_f + k * tol * toward for k in (-1.5, -0.5, 0.5, 1.5)]
+            q = 3
+            if not np.all(kept | ~live):
+                pts.append(x)
+        rows, vals = np.flatnonzero(live), np.full((len(pts), below.size), np.nan)
+        vals[:, rows] = theta_of(np.stack(pts)[:, rows], rows) - target[rows]
+    if bracket:
+        return below.reshape(shape), above.reshape(shape)
+    return (0.5 * (below + above)).reshape(shape)
 
 
 def _seed_kappa(spec: PotentialSpec, energy, offset, x_anchor, window: float):
@@ -489,7 +514,8 @@ def zeros(trace: SolutionTrace, x_from: float, x_to: float, *,
     # bracket each crossing by nodes, then bisect the Hermite interpolant
     j = np.clip(np.searchsorted(th, targets), 1, len(xs) - 1)
     scale = max(1.0, abs(x_from), abs(x_to))
-    guesses = bisect(trace.theta_at, xs[j - 1], xs[j], targets, 1e-13 * scale)
+    guesses = bisect(lambda x, _: trace.theta_at(x), xs[j - 1], xs[j], targets,
+                     1e-13 * scale)
     out = []
     for target, xq in zip(targets.tolist(), guesses.tolist()):
         # Newton polish on the exact lift

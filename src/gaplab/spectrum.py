@@ -117,7 +117,7 @@ def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
     if not (b > a and e_max > e_min):
         raise ValueError("need a < b and e_min < e_max")
 
-    def theta_of(energies):
+    def theta_of(energies, _=None):
         return _theta_end(spec, a, b, xi, energies, rtol)
 
     t_lo, t_hi = theta_of(np.array([e_min, e_max]))
@@ -235,7 +235,7 @@ def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
         targets += [(n_ref - PLATEAU_STATES) * math.pi,
                     (n_ref + PLATEAU_STATES + 1) * math.pi]
     edges = prufer.bisect(
-        lambda e: _theta_end(spec, w1[0], w1[1], xi, e, rtol),
+        lambda e, _: _theta_end(spec, w1[0], w1[1], xi, e, rtol),
         below, above, targets, float(np.max(np.diff(energies))) / 2 ** 16)
 
     gaps = []

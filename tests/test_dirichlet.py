@@ -385,9 +385,10 @@ def test_mirrored_left_values_match_backward_pass():
     mu = np.concatenate(left)
     assert len(mu) >= 20
 
-    def backward(e):
-        return prufer.theta_grid(spec, e, xi, L, 0.0,
-                                 prufer.seed_decaying_right(spec, e, xi, L),
+    def backward(e, rows=slice(None)):
+        return prufer.theta_grid(spec, e, xi[rows], L, 0.0,
+                                 prufer.seed_decaying_right(spec, e, xi[rows],
+                                                            L),
                                  rtol=1e-11, atol=1e-13)
 
     target = np.round(backward(mu) / math.pi) * math.pi
@@ -479,14 +480,18 @@ def test_window_scan_and_phase_lift_log_at_debug_level(caplog, mathieu,
                              sides=(dirichlet.RIGHT, dirichlet.LEFT))
     scans = re.findall(
         r"window scan \(([\w, ]+)\): (\d+) passes, (\d+) crossings, (\d+) "
+        r"points in the polish pass, (\d+) Newton passes after it, (\d+) "
         r"certified by the first stencil, (\d+) inverted brackets, (\d+) "
         r"polished at the second truncation, (\d+) estimates kept "
         r"unpolished", caplog.text)
     # both sides in one scan: the window pass, the first stencils, and at
-    # most one Newton step
+    # most one Newton step; the polish pass takes a stencil of every
+    # crossing, and the slab ends too of one next to the artifact
     assert [scan[0] for scan in scans] == ["right, left"]
-    passes, crossings, certified, inverted, moved, kept = map(int, scans[0][1:])
-    assert passes <= 3
+    (passes, crossings, points, newton, certified, inverted, moved,
+     kept) = map(int, scans[0][1:])
+    assert passes <= 3 and newton == passes - 2
+    assert 2 * crossings + 2 * moved <= points <= 4 * crossings
     assert crossings > 0 and certified + kept <= crossings
     assert inverted == 0 and kept == 0
     folds = re.findall(r"trace_flow: (\w+) lift over 64 offsets, largest "
@@ -514,3 +519,51 @@ def test_trace_flow_pass_count(mathieu, gap1, monkeypatch, side):
                                 60.0, sides=(side, other))
     assert sorted(c.side for c in flow) == [dirichlet.LEFT, dirichlet.RIGHT]
     assert len(calls) <= 3
+
+
+def _edge_flow(phase, n):
+    # the flow of the edge_labels benchmark: exact edges, L 30, dxi 0.1
+    spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), phase)])
+    return dirichlet.trace_flow(spec, Gap(*mathieu_gap_edges(n)), -10.4, 10.4,
+                                0.1, 30.0,
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
+
+
+def test_polish_pass_evaluates_stencils_and_shared_slab_ends(monkeypatch):
+    # the window pass holds the slab ends of a crossing; only one that
+    # shares its slab with the artifact takes them again, at the longer
+    # truncation, with its stencil
+    sizes, shared = [], []
+    scan, polish = dirichlet._scan_theta, dirichlet._polish
+
+    def scan_spy(spec, energies, *args):
+        sizes.append(np.size(energies))
+        return scan(spec, energies, *args)
+
+    def polish_spy(phase, estimate, e_lo, e_hi, ends, share, tol):
+        shared.append((len(estimate), int(np.sum(share))))
+        return polish(phase, estimate, e_lo, e_hi, ends, share, tol)
+
+    monkeypatch.setattr(dirichlet, "_scan_theta", scan_spy)
+    monkeypatch.setattr(dirichlet, "_polish", polish_spy)
+    _edge_flow(1.382, 1)
+    [(n, s)] = shared
+    assert s > 0
+    assert sizes[1] == 2 * (n - s) + 4 * s
+
+
+@pytest.mark.parametrize("phase, n", [(1.382, 1), (2.356, 1), (1.537, 2)])
+def test_flow_next_to_spread_artifact_pass_count(monkeypatch, phase, n):
+    # estimates pinned at the slab end next to a gap edge, and phases flat
+    # to the pass noise: the window pass, the polish pass and at most four
+    # Newton passes, where the search once took up to 20 passes
+    calls = []
+    theta_grid = prufer.theta_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return theta_grid(*args, **kwargs)
+
+    monkeypatch.setattr(prufer, "theta_grid", counted)
+    _edge_flow(phase, n)
+    assert len(calls) <= 6

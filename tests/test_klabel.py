@@ -284,6 +284,27 @@ def test_continuation_bisects_entering_states(x0, x1):
     assert not unit._cold and unit._in_gap.shape[1] == sturm
 
 
+def test_entering_states_take_one_dstein_call_each(monkeypatch):
+    # no pairs to continue, and two in-gap states 0.06 apart: each dstein
+    # call takes one eigenvalue, and the polished pairs pass the certificate
+    spec, gap = _shifted_mathieu(1, 0.0)
+    op = klabel.build_halfline(spec, 4.75, 60.0, 0.005)
+    real = lapack.dstein
+    sizes = []
+
+    def spy(d, e, w, *args):
+        sizes.append(len(w))
+        return real(d, e, w, *args)
+
+    monkeypatch.setattr(lapack, "dstein", spy)
+    w, v, _, bisected = klabel._continue(op, gap, None)
+    assert bisected == 2 and sizes == [1, 1]
+    assert w is not None and v.shape == (len(op.diag), 2)
+    exact = eigh_tridiagonal(op.diag, op.offdiag, select="v",
+                             select_range=(gap.e_lower, gap.e_upper))[0]
+    assert len(exact) == 2 and np.max(np.abs(w - exact)) < 1e-11
+
+
 def test_bisected_pair_short_of_kato_temple_is_refused(monkeypatch):
     # the dstein vector of the entering state, tilted until its residual r
     # has r^2/delta a few times eps ||T||_1, and left unpolished

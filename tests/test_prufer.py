@@ -133,12 +133,12 @@ def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
     # the left problem's boundary phase integrated backward from +L, pi
     # minus that of its forward mirror image, decreases in E, so its bracket
     # is mirrored (below = upper end); reflecting E turns it into an ordered
-    # one
+    # one; bisect evaluates the offsets of the open brackets only
     lo, hi = gap1.trimmed()
     xis = np.linspace(0.0, 2.0 * math.pi, 5)
 
-    def theta_left(e):
-        return math.pi - dirichlet._scan_theta(mathieu, e, xis, 40.0,
+    def theta_left(e, rows=slice(None)):
+        return math.pi - dirichlet._scan_theta(mathieu, e, xis[rows], 40.0,
                                                prufer.LEFT, 1e-8)
 
     t_lo, t_hi = theta_left(lo), theta_left(hi)
@@ -147,7 +147,8 @@ def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
     assert np.any(keep)
     xis, targets = xis[keep], targets[keep]
     mirrored = prufer.bisect(theta_left, hi, lo, targets, 1e-7)
-    ordered = prufer.bisect(lambda y: theta_left(-y), -hi, -lo, targets, 1e-7)
+    ordered = prufer.bisect(lambda y, rows: theta_left(-y, rows), -hi, -lo,
+                            targets, 1e-7)
     assert np.array_equal(mirrored, -ordered)
     assert np.all((mirrored > lo) & (mirrored < hi))
     # the phase is above the target just below the root, below it just above
@@ -168,7 +169,8 @@ def _counted(theta):
 def test_bisect_stencil_certifies_smooth_roots_in_one_step():
     # a smooth monotone phase, all points in one evaluation: the Newton
     # point of the guess's stencil lands within tol / 2 of every root, so
-    # one more evaluation ends each search on a straddling stencil
+    # one more evaluation, four points tol apart, ends each search on a
+    # straddling pair
     roots = np.linspace(-0.9, 0.9, 7)
     tol = 1e-7
 
@@ -179,7 +181,7 @@ def test_bisect_stencil_certifies_smooth_roots_in_one_step():
     theta_of, calls = _counted(theta)
     below, above = prufer.bisect(theta_of, roots - 0.5, roots + 0.7, 0.0, tol,
                                  guess=roots + 1e-4, bracket=True)
-    assert calls == [(4, 7), (2, 7)]
+    assert calls == [(4, 7), (4, 7)]
     assert np.allclose(above - below, tol, rtol=1e-6)
     assert np.all(theta(below) < 0.0) and np.all(theta(above) >= 0.0)
     assert np.all(np.abs(0.5 * (below + above) - roots) <= 0.5 * tol)

@@ -92,8 +92,10 @@ def test_float_path_searches_evaluate_no_more_energies(mathieu,
     # every energy of _theta_end is a pass of its own, so these searches
     # keep one point per step (no stencil); the counts are those of the
     # single-point ITP search.  dirichlet_eigenvalues hands it the phases of
-    # its bracket ends, which it has already computed: 2 + 33 steps x 6
-    # eigenvalues, where evaluating the ends again took 2 + 12 + 32 x 6
+    # its bracket ends, which it has already computed, and each step
+    # evaluates the open brackets only: 188 energies, where evaluating every
+    # bracket in all 33 steps took 2 + 33 x 6 and evaluating the ends again
+    # 2 + 12 + 32 x 6
     energies = []
     theta_end = spectrum._theta_end
 
@@ -103,7 +105,7 @@ def test_float_path_searches_evaluate_no_more_energies(mathieu,
 
     monkeypatch.setattr(spectrum, "_theta_end", counted)
     spectrum.dirichlet_eigenvalues(mathieu, -10.0, 10.0, 0.0, -1.0, 2.0)
-    assert sum(energies) <= 200
+    assert sum(energies) <= 188
     energies.clear()
     gaps = spectrum.detect_gaps(mathieu, -2.0, 2.0, resolution=0.05,
                                 chain=WindowChain.geometric(25.0, 1.6, 2))
