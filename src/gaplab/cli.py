@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="Dirichlet-value flow in the first gap")
     common(p)
-    p.add_argument("--xi-range", dest="xi_range",
-                   help="offset sweep as 'lo:hi'")
+    p.add_argument("--xi-range", dest="xi_range", metavar="LO:HI",
+                   help="offset sweep; write --xi-range=LO:HI, since a "
+                   "negative LO read apart is taken for an option")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("klabel", help="edge-state trace labels, first gap")

@@ -677,23 +677,10 @@ class BetaResult:
 
     value: float
     error_estimate: float
-    mean: "np.ndarray | object"
+    mean: rotation.LambdaMean
     variant: str
     xi_grid: np.ndarray = field(repr=False, default=None)
     lift: np.ndarray = field(repr=False, default=None)
-
-
-def lift_rotation(xis: np.ndarray, phi: np.ndarray,
-                  chain: WindowChain) -> rotation.LambdaMean:
-    """Minus the rotation number over 2 pi of the lift phi sampled on xis,
-    by window."""
-    rot = rotation.rotation_number(
-        lambda x: float(np.interp(x, xis, phi)), chain)
-    return rotation.LambdaMean(
-        window_values=tuple((i, -v / TWO_PI) for i, v in rot.window_values),
-        extrapolated=-rot.extrapolated / TWO_PI,
-        error_estimate=rot.error_estimate / TWO_PI,
-        diverged=rot.diverged)
 
 
 def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
@@ -712,7 +699,7 @@ def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
         flow = trace_flow(spec, gap, *chain.largest, dxi, L, sides=sides,
                           mu_tol=mu_tol, rtol=rtol)
     phi = phase_lift(flow, variant)
-    mean = lift_rotation(flow.xi, phi, chain)
+    mean = rotation.sampled_rotation(flow.xi, -phi / TWO_PI, chain)
     return BetaResult(value=mean.extrapolated,
                       error_estimate=mean.error_estimate,
                       mean=mean, variant=variant, xi_grid=flow.xi, lift=phi)

@@ -88,8 +88,9 @@ class EdgeUnitary:
     """In-gap eigenpairs retained by the boundary-mass filter, with phases.
 
     The implied unitary is the identity plus sum_j (phase_j - 1) P_j over the
-    retained rank-one projectors.  _in_gap holds every in-gap eigenvector,
-    unfiltered, to start the next node from.
+    retained rank-one projectors.  _in_gap holds every in-gap state of the
+    mass eigenbasis, unfiltered, to start the next node from: a cold solve's
+    mixtures of mirror-degenerate states come out unmixed there.
     """
 
     gap: Gap
@@ -138,10 +139,11 @@ def edge_projector(op: HalflineOperator, gap: Gap,
         w = np.array([_rayleigh(op, x)[0] for x in v.T])
     near = v[op.xs >= -op.L / 4.0]
     mass, rot = np.linalg.eigh(near.T @ near)
-    rot = rot[:, mass >= mass_threshold]
-    return EdgeUnitary(gap=gap, eigenvalues=(rot ** 2).T @ w, vectors=v @ rot,
-                       _in_gap=v, _cold=cold, _solves=solves,
-                       _bisected=bisected)
+    states = v @ rot
+    keep = mass >= mass_threshold
+    return EdgeUnitary(gap=gap, eigenvalues=(rot[:, keep] ** 2).T @ w,
+                       vectors=states[:, keep], _in_gap=states, _cold=cold,
+                       _solves=solves, _bisected=bisected)
 
 
 def _rayleigh(op: HalflineOperator, v: np.ndarray, floor: float = 0.0):
@@ -301,13 +303,6 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
                         xi_nodes=np.array(nodes), phase=np.array(lift))
 
 
-def _end_differences(samples: np.ndarray, xis: np.ndarray,
-                     chain: WindowChain) -> rotation.LambdaMean:
-    """Window means of the derivative of a function sampled on xis."""
-    return rotation.rotation_number(
-        lambda x: float(np.interp(x, xis, samples)), chain)
-
-
 def pi_curves(flow, gap: Gap, chain: WindowChain | None = None, *,
               dxi: float = 0.1) -> KLabelResult:
     """Curve-formula gap label: the window mean of (conj(mu_tilde) - 1) mu_tilde'.
@@ -320,8 +315,10 @@ def pi_curves(flow, gap: Gap, chain: WindowChain | None = None, *,
     """
     chain = chain or dirichlet.default_xi_chain()
     phi = dirichlet.phase_lift(flow)
-    real = _end_differences((np.sin(phi) - phi) / TWO_PI, flow.xi, chain)
-    imag = _end_differences((1.0 - np.cos(phi)) / TWO_PI, flow.xi, chain)
+    real = rotation.sampled_rotation(flow.xi, (np.sin(phi) - phi) / TWO_PI,
+                                     chain)
+    imag = rotation.sampled_rotation(flow.xi, (1.0 - np.cos(phi)) / TWO_PI,
+                                     chain)
     # small windows carry large boundary terms; only the tail is diagnostic
     residue = max(abs(v) for _, v in imag.window_values[-3:])
     return KLabelResult(value=real.extrapolated,
@@ -348,7 +345,8 @@ def boundary_force(flow, gap: Gap,
     single-curve reduction exact.
     """
     chain = chain or dirichlet.default_xi_chain()
-    mean = dirichlet.lift_rotation(flow.xi, dirichlet.phase_lift(flow), chain)
+    phi = dirichlet.phase_lift(flow)
+    mean = rotation.sampled_rotation(flow.xi, -phi / TWO_PI, chain)
     dmax = dirichlet.max_dirichlet_count(flow)
     return BoundaryForceResult(value=mean.extrapolated,
                                error_estimate=mean.error_estimate,

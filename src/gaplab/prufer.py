@@ -528,55 +528,3 @@ def zeros(trace: SolutionTrace, x_from: float, x_to: float, *,
             xq -= resid / slope
         out.append(xq)
     return np.array(out)
-
-
-def _relative_spread(values: np.ndarray) -> float:
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return math.inf
-    return float((np.max(values) - np.min(values)) / scale)
-
-
-def _values_along(spec, energy, offset, x0, theta0, points, rtol):
-    """theta and accumulated log r at successive points, chaining segments.
-
-    Integrating segment by segment makes the sample values genuine endpoint
-    values of the integrator instead of interpolants.
-    """
-    th = float(theta0)
-    lr = 0.0
-    x = x0
-    thetas = []
-    logrs = []
-    for p in points:
-        tr = integrate(spec, energy, offset, x, p, th, rtol=rtol,
-                       atol_theta=rtol * 1e-2, atol_logr=rtol * 1e-2)
-        th = float(tr.thetas[-1])
-        lr += float(tr.log_amplitudes[-1])
-        thetas.append(th)
-        logrs.append(lr)
-        x = p
-    return np.array(thetas), np.array(logrs)
-
-
-def wronskian_check(spec: PotentialSpec, energy: float, offset: float,
-                    L: float, *, n_samples: int = 9,
-                    rtol: float = 1e-10) -> float:
-    """Relative spread of the Wronskian [psi_plus, psi_minus] over samples.
-
-    psi_minus is integrated forward from -L, psi_plus backward from +L, each
-    seeded with its decaying direction.  In a spectral gap the Wronskian
-    r_plus r_minus sin(theta_plus - theta_minus) is constant up to integrator
-    error, so the spread is a direct quality measure of the dichotomy.  The
-    value is invariant under rescaling either solution.
-    """
-    th_m = seed_decaying_left(spec, energy, offset, L)
-    th_p = seed_decaying_right(spec, energy, offset, L)
-    pts = np.linspace(-L / 2, L / 2, n_samples)
-    th1, lr1 = _values_along(spec, energy, offset, -L, th_m, pts, rtol)
-    th2, lr2 = _values_along(spec, energy, offset, L, th_p, pts[::-1], rtol)
-    th2, lr2 = th2[::-1], lr2[::-1]
-    log_scale = lr1 + lr2
-    ref = float(np.max(log_scale))
-    w = np.exp(log_scale - ref) * np.sin(th2 - th1)
-    return _relative_spread(w)

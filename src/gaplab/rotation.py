@@ -7,6 +7,11 @@ continuous lift, computed here from endpoint difference quotients.  For the
 phase of psi' + i psi the rotation number, rescaled by 2/(2 pi), is the
 asymptotic density of zeros of psi and coincides with the integrated density
 of states.
+
+window_mean is the one chain estimator: every chain label (both alpha
+routes here, and beta, pi_curves and boundary_force through
+sampled_rotation) turns its per-window values into a limit and an error
+there, so changing the estimator is a change to that one function.
 """
 
 from __future__ import annotations
@@ -27,31 +32,24 @@ class InconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class LambdaMean:
-    """Window means over a chain with extrapolation and spread diagnostics."""
+    """Window means over a chain with their extrapolation and its error."""
 
     window_values: tuple[tuple[int, float], ...]
     extrapolated: float
     error_estimate: float
-    diverged: bool = False
-
-    @property
-    def last(self) -> float:
-        return self.window_values[-1][1]
 
 
-def extrapolate(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, bool]:
-    """Extrapolated value, error estimate, and a divergence flag.
+def window_mean(lengths: np.ndarray, values: np.ndarray | list[float],
+                floor: float = 0.0) -> LambdaMean:
+    """The chain estimator: per-window values, their limit and its error.
 
     When the last differences shrink consistently with a 1/|W| boundary term,
     one Richardson step removes it; otherwise the last value stands.  The
-    error estimate keeps the result inside the hull of the recent values.
+    error estimate keeps the result inside the hull of the recent values and
+    is at least floor.
     """
+    values = np.asarray(values, dtype=float)
     v_last = float(values[-1])
-    diverged = False
-    if len(values) >= 3:
-        a1, a2, a3 = (abs(float(v)) for v in values[-3:])
-        diverged = (a3 > 1.5 * a2 + 1e-12 and a2 > 1.5 * a1 + 1e-12
-                    and a3 > abs(float(values[0])) + 1.0)
     extrap = v_last
     if len(values) >= 3:
         d_last = float(values[-1] - values[-2])
@@ -63,10 +61,11 @@ def extrapolate(lengths: np.ndarray, values: np.ndarray) -> tuple[float, float, 
                       and abs(d_last) <= 1.2 * abs(d_prev) + 1e-15)
         if consistent and r > 1.0:
             extrap = v_last + d_last / (r - 1.0)
-    tail = values[-3:] if len(values) >= 3 else values
-    spread = float(np.ptp(tail))
-    err = max(spread, abs(extrap - v_last), 1e-15)
-    return extrap, err, diverged
+    spread = float(np.ptp(values[-3:]))
+    err = max(spread, abs(extrap - v_last), 1e-15, floor)
+    return LambdaMean(
+        window_values=tuple((i, float(v)) for i, v in enumerate(values)),
+        extrapolated=extrap, error_estimate=err)
 
 
 def lambda_mean(f, chain: WindowChain, *, quad_tol: float = 1e-9,
@@ -77,11 +76,7 @@ def lambda_mean(f, chain: WindowChain, *, quad_tol: float = 1e-9,
         val, _ = _sciint.quad(f, a, b, epsabs=quad_tol * (b - a),
                               epsrel=quad_tol, limit=limit)
         values.append(val / (b - a))
-    values = np.array(values)
-    extrap, err, diverged = extrapolate(chain.lengths, values)
-    return LambdaMean(
-        window_values=tuple((i, float(v)) for i, v in enumerate(values)),
-        extrapolated=extrap, error_estimate=err, diverged=diverged)
+    return window_mean(chain.lengths, values)
 
 
 def rotation_number(lift, chain: WindowChain) -> LambdaMean:
@@ -91,14 +86,14 @@ def rotation_number(lift, chain: WindowChain) -> LambdaMean:
     continuous lift (no branch jumps).  Equals the window mean of lift' for
     differentiable lifts.
     """
-    values = []
-    for (a, b) in chain.windows:
-        values.append((lift(b) - lift(a)) / (b - a))
-    values = np.array(values, dtype=float)
-    extrap, err, diverged = extrapolate(chain.lengths, values)
-    return LambdaMean(
-        window_values=tuple((i, float(v)) for i, v in enumerate(values)),
-        extrapolated=extrap, error_estimate=err, diverged=diverged)
+    values = [(lift(b) - lift(a)) / (b - a) for a, b in chain.windows]
+    return window_mean(chain.lengths, values)
+
+
+def sampled_rotation(xs: np.ndarray, samples: np.ndarray,
+                     chain: WindowChain) -> LambdaMean:
+    """rotation_number of the linear interpolant of a lift sampled on xs."""
+    return rotation_number(lambda x: float(np.interp(x, xs, samples)), chain)
 
 
 @dataclass(frozen=True)
@@ -140,34 +135,24 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
                              rtol=rtol, atol_theta=rtol * 1e-2,
                              atol_logr=rtol * 1e-2)
 
-    lift_vals = []
-    zero_vals = []
-    for (a, b) in chain.windows:
-        dth = trace.theta_at(b) - trace.theta_at(a)
-        lift_vals.append(dth / (math.pi * (b - a)))
-        zero_vals.append(prufer.count_zeros(trace, a, b) / (b - a))
-    lengths = chain.lengths
-    lift_vals = np.array(lift_vals)
-    zero_vals = np.array(zero_vals)
-
-    ex_l, err_l, div_l = extrapolate(lengths, lift_vals)
-    ex_z, err_z, div_z = extrapolate(lengths, zero_vals)
-    # count granularity floor for the zero-density route
-    err_z = max(err_z, 1.0 / float(lengths[-1]))
-    err_l = max(err_l, 0.5 / float(lengths[-1]))
-    lift_mean = LambdaMean(tuple((i, float(v)) for i, v in enumerate(lift_vals)),
-                           ex_l, err_l, div_l)
-    zero_mean = LambdaMean(tuple((i, float(v)) for i, v in enumerate(zero_vals)),
-                           ex_z, err_z, div_z)
-
-    combined = err_l + err_z
-    if abs(ex_l - ex_z) > 3.0 * combined:
+    windows = chain.windows
+    lifts = [(trace.theta_at(b) - trace.theta_at(a)) / (math.pi * (b - a))
+             for a, b in windows]
+    zeros = [prufer.count_zeros(trace, a, b) / (b - a) for a, b in windows]
+    # count granularity floors: one zero over the largest window for the
+    # zero-density route, half of one for the lift
+    size = float(chain.lengths[-1])
+    lift_mean = window_mean(chain.lengths, lifts, 0.5 / size)
+    zero_mean = window_mean(chain.lengths, zeros, 1.0 / size)
+    ex_l, ex_z = lift_mean.extrapolated, zero_mean.extrapolated
+    tol = 3.0 * (lift_mean.error_estimate + zero_mean.error_estimate)
+    if abs(ex_l - ex_z) > tol:
         raise InconsistencyError(
             f"lift and zero-density rotation numbers disagree: "
-            f"{ex_l} vs {ex_z} (tolerance {3.0 * combined})")
+            f"{ex_l} vs {ex_z} (tolerance {tol})")
 
     below = energy < -potentials.amplitude_bound(spec)
     regime = "gap_or_below" if (in_gap or below) else "heuristic"
-    return AlphaResult(value=ex_l, error_estimate=err_l,
+    return AlphaResult(value=ex_l, error_estimate=lift_mean.error_estimate,
                        lift_mean=lift_mean, zero_density_mean=zero_mean,
                        regime=regime)

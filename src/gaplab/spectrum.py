@@ -16,7 +16,6 @@ import numpy as np
 from . import prufer
 from .potentials import PotentialSpec, WindowChain
 
-AMBIGUITY_TOL = 1e-7
 PLATEAU_STATES = 2          # boundary states a finite box may host inside a gap
 EDGE_MARGIN_FRACTION = 0.01  # relative gap-edge margin for downstream labels
 
@@ -52,13 +51,6 @@ class Gap:
         return self.e_lower + d, self.e_upper - d
 
 
-@dataclass(frozen=True)
-class BoxCount:
-    count: int
-    theta_end: float
-    ambiguous: bool
-
-
 def _theta_end(spec: PotentialSpec, a: float, b: float, xi: float,
                energies, rtol: float) -> np.ndarray:
     """theta(b) of the box problem with theta(a) = 0, one energy at a time.
@@ -73,27 +65,13 @@ def _theta_end(spec: PotentialSpec, a: float, b: float, xi: float,
                      for e in np.ravel(energies)]).reshape(np.shape(energies))
 
 
-def eigenvalue_count_info(spec: PotentialSpec, a: float, b: float, xi: float,
-                          energy: float, *, rtol: float = 1e-9) -> BoxCount:
-    """Count with the final phase attached; flags near-eigenvalue queries.
-
-    The count is ambiguous when theta(b) sits within AMBIGUITY_TOL of a
-    multiple of pi, i.e. E is within integrator resolution of a box
-    eigenvalue.
-    """
-    if not b > a:
-        raise ValueError("need a < b")
-    theta_b = float(_theta_end(spec, a, b, xi, energy, rtol))
-    frac = theta_b / math.pi
-    ambiguous = abs(frac - round(frac)) * math.pi < AMBIGUITY_TOL
-    return BoxCount(count=int(math.floor(frac + 1e-12)), theta_end=theta_b,
-                    ambiguous=ambiguous)
-
-
 def eigenvalue_count(spec: PotentialSpec, a: float, b: float, xi: float,
                      energy: float, *, rtol: float = 1e-9) -> int:
     """Number of Dirichlet eigenvalues of the box [a, b] at or below energy."""
-    return eigenvalue_count_info(spec, a, b, xi, energy, rtol=rtol).count
+    if not b > a:
+        raise ValueError("need a < b")
+    theta_b = float(_theta_end(spec, a, b, xi, energy, rtol))
+    return math.floor(theta_b / math.pi + 1e-12)
 
 
 def counts_grid(spec: PotentialSpec, a: float, b: float, xi: float,

@@ -235,6 +235,16 @@ def test_cli_flow_writes_float_csv(capsys, tmp_path):
         float(mu)
 
 
+def test_cli_flow_negative_xi_range(capsys, tmp_path):
+    # a range starting below zero must be attached with '=', or argparse
+    # reads it as an option
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI, encoding="utf-8")
+    assert main(["flow", "--config", str(ini), "--xi-range=-1.5:1"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith("curves over xi in [-1.5, 1.0]")
+
+
 def test_cli_klabel_labels(capsys, tmp_path):
     ini = tmp_path / "small.ini"
     ini.write_text(SMALL_INI, encoding="utf-8")

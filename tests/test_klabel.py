@@ -235,15 +235,26 @@ def test_pi_trace_continuation_matches_cold_solves(monkeypatch, n, phase,
 
 
 def test_pi_trace_continuation_refused_where_uncertified(monkeypatch):
-    # the window ends at xi = L/2, where the box is mirror-symmetric and the
-    # boundary and truncation states are degenerate, which the certificate
-    # refuses; the offsets where a state enters the gap bisect it and pass
+    # both window ends sit where the box is mirror-symmetric (xi = L/2 and
+    # L/2 - 2 pi) and the boundary and truncation states are degenerate,
+    # which the certificate refuses; the node after the first starts from
+    # the unmixed states and passes, as do the offsets where a state enters
+    # the gap
     spec, gap = _shifted_mathieu(2, 0.0)
     window = (30.0 - 2.0 * math.pi, 30.0)
     cold = _cold_trace(monkeypatch, spec, gap, window, 0.01)
     seen = _recording_projector(monkeypatch)
+    eigensolves = []
+
+    def spy(*args, **kwargs):
+        eigensolves.append(args)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(klabel, "eigh_tridiagonal", spy)
     _assert_same_trace(klabel.pi_trace(spec, gap, window, 0.05, 60.0, 0.01),
                        cold)
+    assert len(eigensolves) <= 2
+    assert not seen[1][2]._cold
     entering = [u for _, s, u in seen[1:]
                 if u._in_gap.shape[1] > s._in_gap.shape[1]]
     assert entering

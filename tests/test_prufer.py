@@ -201,25 +201,6 @@ def test_bisect_step_like_phase_stays_within_itp_bound(guess):
     assert below < root <= above
 
 
-def test_wronskian_constant_free_below_spectrum():
-    spread = prufer.wronskian_check(ZERO, -1.0, 0.0, 40.0)
-    assert spread < 1e-8
-
-
-def test_wronskian_constant_in_mathieu_gap(mathieu, gap1):
-    spread = prufer.wronskian_check(mathieu, gap1.mid, 0.3, 60.0)
-    assert spread < 1e-6
-
-
-def test_wronskian_spread_is_scale_invariant():
-    # rescaling either solution shifts log r by a constant, which the
-    # relative spread ignores by construction
-    vals = np.array([2.0, 2.0 + 1e-9, 2.0 - 1e-9])
-    s0 = prufer._relative_spread(vals)
-    s1 = prufer._relative_spread(vals * 7.3)
-    assert s0 == pytest.approx(s1, rel=1e-9)
-
-
 def test_trace_translate_covariance(mathieu):
     from gaplab import potentials as P
     shifted = P.translate(mathieu, 0.8)

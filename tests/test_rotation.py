@@ -16,6 +16,33 @@ def chain_400():
     return WindowChain.geometric(12.5, 2.0, 5)
 
 
+LENGTHS = np.array([1.0, 2.0, 4.0])
+
+
+def test_window_mean_richardson_step_on_shrinking_tail():
+    # differences -0.5, -0.25 shrink like 1/|W|: one step removes them
+    wm = rotation.window_mean(LENGTHS, [1.0, 0.5, 0.25])
+    assert wm.extrapolated == 0.0
+    assert wm.error_estimate == 0.75
+    assert wm.window_values == ((0, 1.0), (1, 0.5), (2, 0.25))
+
+
+def test_window_mean_keeps_last_value_of_oscillating_tail():
+    wm = rotation.window_mean(LENGTHS, [0.2, 0.4, 0.3])
+    assert wm.extrapolated == 0.3
+    assert wm.error_estimate == pytest.approx(0.2, abs=1e-15)
+
+
+def test_window_mean_bar_respects_floor():
+    flat = [1.0, 1.0, 1.0]
+    assert rotation.window_mean(LENGTHS, flat).error_estimate == 1e-15
+    wm = rotation.window_mean(LENGTHS, flat, floor=0.3)
+    assert wm.extrapolated == 1.0
+    assert wm.error_estimate == 0.3
+    assert rotation.window_mean(LENGTHS, [1.0, 0.5, 0.25],
+                                floor=0.3).error_estimate == 0.75
+
+
 def test_lambda_mean_constant_is_exact():
     lm = rotation.lambda_mean(lambda x: 3.25, WindowChain.geometric(10, 1.6, 4))
     for _, v in lm.window_values:
@@ -26,7 +53,6 @@ def test_lambda_mean_constant_is_exact():
 def test_lambda_mean_oscillation_averages_out():
     lm = rotation.lambda_mean(math.sin, chain_400())
     assert abs(lm.extrapolated) < 1e-2
-    assert not lm.diverged
 
 
 def test_lambda_mean_cos_squared():
@@ -35,11 +61,6 @@ def test_lambda_mean_cos_squared():
     lm = rotation.lambda_mean(lambda x: math.cos(x) ** 2, chain_400())
     assert abs(lm.window_values[-1][1] - 0.5) <= 1.0 / 800.0 + 1e-9
     assert abs(lm.extrapolated - 0.5) < 2e-3
-
-
-def test_lambda_mean_flags_divergence():
-    lm = rotation.lambda_mean(lambda x: x * x, WindowChain.geometric(5, 2.0, 6))
-    assert lm.diverged
 
 
 def test_rotation_number_linear_lift_is_exact():
@@ -98,6 +119,11 @@ def test_alpha_below_spectrum_vanishes():
     assert res.zero_density_mean.extrapolated == 0.0
     assert abs(res.value) < 2e-3
     assert res.regime == "gap_or_below"
+    # the window values are flat, so the bars are the count granularity
+    # floors over the largest window
+    size = WindowChain.geometric().lengths[-1]
+    assert res.error_estimate == res.lift_mean.error_estimate >= 0.5 / size
+    assert res.zero_density_mean.error_estimate >= 1.0 / size
 
 
 def test_alpha_monotone_in_energy(mathieu):

@@ -17,14 +17,6 @@ def test_free_box_counts():
     assert spectrum.eigenvalue_count(ZERO, 0.0, math.pi, 0.0, 9.5) == 3
 
 
-def test_count_flags_near_eigenvalue_queries():
-    # E = 4 is exactly the second eigenvalue of the free box on [0, pi]
-    info = spectrum.eigenvalue_count_info(ZERO, 0.0, math.pi, 0.0, 4.0)
-    assert info.ambiguous
-    info = spectrum.eigenvalue_count_info(ZERO, 0.0, math.pi, 0.0, 2.5)
-    assert not info.ambiguous
-
-
 def test_counts_grid_matches_scalar():
     es = np.linspace(0.2, 9.7, 23)
     grid = spectrum.counts_grid(ZERO, 0.0, math.pi, 0.0, es)
