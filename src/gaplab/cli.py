@@ -4,7 +4,7 @@ Each subcommand exposes one stage of the pipeline so stages can be rerun and
 debugged in isolation; `report` runs everything and writes the JSON report
 plus CSV artifacts.  Flags override values from --config.  Exit codes:
 0 on success (for `report`: all equality verdicts pass), 2 when a verdict
-fails, 1 on error.
+fails, 1 on error, USAGE_ERROR (64) on a malformed command line.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import replace
 from . import dirichlet, harness, rotation, spectrum
 from .harness import ExperimentConfig, load_config, parse_potential_arg
 from .potentials import PotentialSpec
+
+USAGE_ERROR = 64   # sysexits EX_USAGE; argparse's own 2 is a failed verdict
 
 
 def _base_config(args) -> ExperimentConfig:
@@ -195,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, else 2
+        return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
     except Exception as exc:  # surfacing errors as exit code 1

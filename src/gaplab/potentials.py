@@ -132,35 +132,38 @@ def scalar_evaluator(spec: PotentialSpec, xi: float = 0.0, mirror=False):
 
 
 def offset_evaluator(spec: PotentialSpec, xi, mirror=False):
-    """Closure computing V(x + xi), or V(-x + xi) where mirror is set, for a
-    scalar x over an array of offsets.
+    """Closure computing V(x + xi), or V(-x + xi) where mirror is set, over
+    an array of offsets, for a scalar x or a 1-d array of x.
 
     By angle addition, a cos(w (+-x + xi) + p) = A cos(w x) -+ B sin(w x)
     with A = a cos(w xi + p) and B = a sin(w xi + p) per offset, computed
-    once here; each call then costs scalar trigonometry and array
-    multiply-adds.  The result has the shape of xi and mirror.
+    once here.  A scalar x then costs scalar trigonometry and array
+    multiply-adds; an array of x costs its trigonometry and one matrix
+    product with the stacked A and -B.  The result has the shape of xi and
+    mirror, after a leading axis over x when x is an array.
     """
     xi, s = np.broadcast_arrays(np.asarray(xi, float), np.where(mirror, -1, 1))
     if spec.kind == ZERO:
-        zeros = np.zeros(xi.shape)
-        return lambda x: zeros
+        return lambda x: np.zeros(np.shape(x) + xi.shape)
     factors = [(TWO_PI * f, a * np.cos(TWO_PI * f * xi + p),
                 s * a * np.sin(TWO_PI * f * xi + p)) for a, f, p in spec.terms]
-    if len(factors) == 1:
-        (w0, A0, B0), = factors
+    freqs = np.array([w for w, _, _ in factors])
+    coefficients = np.reshape([A for _, A, _ in factors]
+                              + [-B for _, _, B in factors],
+                              (2 * len(factors), -1))
 
-        def one_term(x, _cos=math.cos, _sin=math.sin):
-            return A0 * _cos(w0 * x) - B0 * _sin(w0 * x)
-
-        return one_term
-
-    def many_terms(x, _cos=math.cos, _sin=math.sin):
-        total = 0.0
-        for w, A, B in factors:
-            total = total + (A * _cos(w * x) - B * _sin(w * x))
+    def at(x, _cos=math.cos, _sin=math.sin):
+        if np.ndim(x):
+            wx = np.multiply.outer(x, freqs)
+            trig = np.concatenate([np.cos(wx), np.sin(wx)], axis=1)
+            return np.dot(trig, coefficients).reshape(wx.shape[:1] + xi.shape)
+        (w0, A0, B0), *rest = factors
+        total = A0 * _cos(w0 * x) - B0 * _sin(w0 * x)
+        for wk, A, B in rest:
+            total += A * _cos(wk * x) - B * _sin(wk * x)
         return total
 
-    return many_terms
+    return at
 
 
 @dataclass(frozen=True)

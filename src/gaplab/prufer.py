@@ -14,8 +14,8 @@ because at spectral-gap energies solutions grow or decay exponentially.
 One adaptive Cash-Karp 5(4) loop advances the phase.  It has two front
 ends: `integrate` runs it on plain floats for a single trajectory, carrying
 log r and storing the accepted nodes for interpolation; `theta_grid` runs it
-on numpy arrays for a whole grid of (E, xi) components with shared adaptive
-steps, falling back to plain floats when the grid has one component.  A
+with a stacked numpy step for a whole grid of (E, xi) components with shared
+adaptive steps, or on plain floats when the grid has one component.  A
 pass can land on a monotone array of points on its way, returning theta at
 each, and carries theta modulo pi between them, so the error control does
 not loosen along a long pass.  Every question of the form "where does theta
@@ -48,6 +48,19 @@ _E3 = 250 / 621 - 18575 / 48384
 _E4 = 125 / 594 - 13525 / 55296
 _E5 = -277 / 14336
 _E6 = 512 / 1771 - 1 / 4
+# The tableau over theta, 1 and q1..q6 with theta' = 1 + q (_vector_step):
+# stage arguments 2-6, then theta, error and change at the end.  h scales
+# every column but the first.
+_C = np.array([0.0, _C2, _C3, _C4, _C5, _C6])
+_TABLEAU = np.array([
+    [1, _C2, _A21, 0, 0, 0, 0, 0],
+    [1, _C3, _A31, _A32, 0, 0, 0, 0],
+    [1, _C4, _A41, _A42, _A43, 0, 0, 0],
+    [1, _C5, _A51, _A52, _A53, _A54, 0, 0],
+    [1, _C6, _A61, _A62, _A63, _A64, _A65, 0],
+    [1, 1, _B1, 0, _B3, _B4, 0, _B6],
+    [0, 0, _E1, 0, _E3, _E4, _E5, _E6],
+    [0, 1, _B1, 0, _B3, _B4, 0, _B6]])
 
 _MAX_DTHETA = 0.95 * math.pi / 2  # lift-continuity guard per accepted step
 
@@ -120,18 +133,19 @@ def _theta_rhs_scalar(v_of_x, energy):
     return rhs
 
 
-def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
-               max_step, record=None, context=""):
+def _cash_karp(step, x_start, x_end, theta, carried=None, *, max_step,
+               slope=None, record=None, context=lambda: ""):
     """Advance theta from x_start to x_end by adaptive Cash-Karp 5(4) steps.
 
     Works on floats and numpy arrays alike, in either direction.
-    rhs(x, theta) returns (theta', carried'), where `carried` is a quantity
-    the right-hand side does not read (log r), or None when nothing is
-    carried.  norm(theta, theta_new, err_theta, carried, carried_new,
-    err_carried) returns the scaled error, accepted at <= 1, and the largest
-    phase change of the step; a change of _MAX_DTHETA or more rejects the
-    step, which keeps the lift continuous.  record, when given, receives
-    (x, theta, carried, theta') at the start and at every accepted node.
+    step(x, h, theta, carried, k1) makes one trial step of length h and
+    returns (theta, carried) at its end, the scaled error, accepted at <= 1,
+    and the largest phase change; a change of _MAX_DTHETA or more rejects
+    the step, which keeps the lift continuous.  `carried` is a quantity the
+    right-hand side does not read (log r), or None.  slope(x, theta), if
+    given, returns k1 = (theta', carried') at the start and at each accepted
+    node, where record, if given, receives (x, theta, carried, theta');
+    else k1 is None.  context() ends the message of a step underflow.
     Returns theta and carried at x_end.
 
     x_end may instead be a 1-d array of landing points, strictly monotone in
@@ -150,9 +164,9 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
 
     x = x_start
     th, cr = theta, carried
-    k1t, k1c = rhs(x, th)
+    k1 = slope and slope(x, th)
     if record is not None:
-        record((x, th, cr, k1t))
+        record((x, th, cr, k1[0]))
     h = sgn * min(0.02, max_step)
     landed = []
     lift = 0.0  # the multiples of pi set aside
@@ -161,25 +175,12 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
         if abs(h) > max_step:
             h = sgn * max_step
         if abs(h) < h_min:
-            raise StiffnessError(f"step underflow at x={x:.6g}{context}")
+            raise StiffnessError(f"step underflow at x={x:.6g}{context()}")
         h_free = h
         last = (x + h - target) * sgn >= 0.0
         if last:
             h = target - x
-        k2t, k2c = rhs(x + h * _C2, th + h * _A21 * k1t)
-        k3t, k3c = rhs(x + h * _C3, th + h * (_A31 * k1t + _A32 * k2t))
-        k4t, k4c = rhs(x + h * _C4, th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t))
-        k5t, k5c = rhs(x + h * _C5, th + h * (_A51 * k1t + _A52 * k2t
-                                              + _A53 * k3t + _A54 * k4t))
-        k6t, k6c = rhs(x + h * _C6, th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t
-                                              + _A64 * k4t + _A65 * k5t))
-        th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B6 * k6t)
-        err_t = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t)
-        cr_new = err_c = None
-        if cr is not None:
-            cr_new = cr + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B6 * k6c)
-            err_c = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c)
-        err, dth_step = norm(th, th_new, err_t, cr, cr_new, err_c)
+        th_new, cr_new, err, dth_step = step(x, h, th, cr, k1)
         fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if dth_step >= _MAX_DTHETA:
             fac = min(fac, 0.5)
@@ -196,9 +197,9 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
                     # the landing step was cut short; go on with the step
                     # proposed before the cut
                     h, fac = h_free, 1.0
-            k1t, k1c = rhs(x, th)
+            k1 = slope and slope(x, th)
             if record is not None:
-                record((x, th, cr, k1t))
+                record((x, th, cr, k1[0]))
             if len(landed) == len(ends):
                 break
         h *= fac
@@ -207,14 +208,72 @@ def _cash_karp(rhs, norm, x_start, x_end, theta, carried=None, *,
     return np.array(landed), cr
 
 
-def _float_norm(rtol, atol_theta, atol_logr):
-    """Error norm of the plain-float path: theta and log r both count."""
-    def norm(t0, t1, err_t, r0, r1, err_r):
-        sc_t = atol_theta + rtol * max(abs(t0), abs(t1))
-        sc_r = atol_logr + rtol * max(abs(r0), abs(r1))
-        return max(abs(err_t) / sc_t, abs(err_r) / sc_r), abs(t1 - t0)
+def _where(energy, offset, mirror):
+    """The component a step underflow names."""
+    return f" (E={energy}, xi={offset}, side={LEFT if mirror else RIGHT})"
 
-    return norm
+
+def _float_step(rhs, rtol, atol_theta, atol_logr):
+    """Trial step of the plain-float path: theta and log r both count."""
+    def step(x, h, th, cr, k1):
+        k1t, k1c = k1
+        k2t, k2c = rhs(x + h * _C2, th + h * _A21 * k1t)
+        k3t, k3c = rhs(x + h * _C3, th + h * (_A31 * k1t + _A32 * k2t))
+        k4t, k4c = rhs(x + h * _C4, th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t))
+        k5t, k5c = rhs(x + h * _C5, th + h * (_A51 * k1t + _A52 * k2t
+                                              + _A53 * k3t + _A54 * k4t))
+        k6t, k6c = rhs(x + h * _C6, th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t
+                                              + _A64 * k4t + _A65 * k5t))
+        th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B6 * k6t)
+        err_t = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t)
+        cr_new = cr + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B6 * k6c)
+        err_c = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c)
+        sc_t = atol_theta + rtol * max(abs(th), abs(th_new))
+        sc_r = atol_logr + rtol * max(abs(cr), abs(cr_new))
+        return (th_new, cr_new, max(abs(err_t) / sc_t, abs(err_c) / sc_r),
+                abs(th_new - th))
+
+    return step
+
+
+def _vector_step(v, e1, rtol, atol):
+    """Trial step of the numpy path, theta' = 1 + q, q = (E - 1 - V) sin^2
+    theta, for components e1 = E - 1 and potential v (offset_evaluator),
+    with theta alone in the error control.  One array holds theta, ones and
+    the six stages' q, so each stage argument, and theta, error and change
+    at the end, is one product of h-scaled _TABLEAU rows with it.  Returns
+    the step and the scaled errors of its last trial.
+    """
+    n = e1.size
+    e1 = np.tile(e1, (6, 1))
+    rows = np.empty((8, n))
+    rows[1] = 1.0
+    tab = np.empty_like(_TABLEAU)
+    g = np.empty((6, n))
+    arg = np.empty(n)
+    scaled = np.zeros(n)
+    stages = [((tab[k - 1, :k + 2], rows[:k + 2]) if k else None, g[k],
+               rows[k + 2]) for k in range(6)]
+
+    def step(x, h, th, cr, k1):
+        np.multiply(_TABLEAU, h, out=tab)
+        tab[:, 0] = _TABLEAU[:, 0]
+        np.subtract(e1, v(x + h * _C), out=g)
+        rows[0] = th
+        for product, gk, q in stages:
+            np.sin(np.dot(*product, out=arg) if product else th, out=arg)
+            np.multiply(arg, arg, out=arg)
+            np.multiply(arg, gk, out=q)
+        out = np.dot(tab[5:], rows)   # theta at the end, error, change
+        mag = np.abs(out)
+        np.abs(th, out=scaled)
+        np.maximum(scaled, mag[0], out=scaled)
+        np.multiply(scaled, rtol, out=scaled)
+        np.add(scaled, atol, out=scaled)
+        np.divide(mag[1], scaled, out=scaled)
+        return out[0], None, float(scaled.max()), float(mag[2].max())
+
+    return step, scaled
 
 
 def integrate(spec: PotentialSpec, energy: float, offset: float,
@@ -232,9 +291,10 @@ def integrate(spec: PotentialSpec, energy: float, offset: float,
     rhs = _theta_rhs_scalar(
         potentials.scalar_evaluator(spec, offset, mirror), energy)
     nodes = []
-    _cash_karp(rhs, _float_norm(rtol, atol_theta, atol_logr), x_start, x_end,
-               float(theta_start), 0.0, max_step=max_step, record=nodes.append,
-               context=f" (E={energy}, xi={offset})")
+    _cash_karp(_float_step(rhs, rtol, atol_theta, atol_logr), x_start, x_end,
+               float(theta_start), 0.0, max_step=max_step, slope=rhs,
+               record=nodes.append, context=lambda: _where(energy, offset,
+                                                            mirror))
     xs, thetas, log_amplitudes, dthetas = (np.array(c) for c in zip(*nodes))
     return SolutionTrace(
         potential=spec, energy=energy, offset=offset,
@@ -256,40 +316,39 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     monotone in the direction of integration; the result then has a leading
     axis over them.  A grid of one component runs integrate's plain-float
     path instead, with log r carried and controlled as there (atol for
-    both): about ten times faster than the numpy stepper at width one (a
-    median 10.7 over 15 paired 30-unit passes), and bit-identical to
-    integrate's endpoint.
+    both): faster than the numpy step at width one (a median 6.4 times over
+    15 paired 30-unit passes), and bit-identical to integrate's endpoint.
+    A step underflow names the component with the largest scaled error.
 
-    The numpy right-hand side is theta' = 1 + (E - 1 - V) sin^2(theta), with
-    V(x + xi) by angle addition (potentials.offset_evaluator), so a stage
-    costs one array sine and scalar trigonometry of x.
+    The numpy step (_vector_step) evaluates V(x + xi) at its six stage
+    abscissae in one call, by angle addition (potentials.offset_evaluator),
+    and then costs per stage one array sine, one matrix-vector product and
+    two multiplications.
     """
-    E = np.asarray(energies, dtype=float)
-    xi = np.asarray(offsets, dtype=float)
-    th0 = np.asarray(theta_start, dtype=float)
-    shape = np.broadcast_shapes(E.shape, xi.shape, th0.shape, np.shape(mirror))
-    out_shape = np.shape(x_end) + shape
-    if math.prod(shape) == 1:
-        e, x, t, mr = (float(np.ravel(a)[0]) for a in (E, xi, th0, mirror))
-        rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x, mr), e)
-        th, _ = _cash_karp(rhs, _float_norm(rtol, atol, atol), x_start, x_end,
-                           t, 0.0, max_step=max_step,
-                           context=f" (E={e}, xi={x})")
+    E, xi, th0, mr = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (energies, offsets,
+                                               theta_start)),
+        np.asarray(mirror, dtype=bool))
+    out_shape = np.shape(x_end) + E.shape
+    E, xi, th0, mr = (np.ravel(a) for a in (E, xi, th0, mr))
+    if E.size == 1:
+        e, x, t, m = float(E[0]), float(xi[0]), float(th0[0]), bool(mr[0])
+        rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x, m), e)
+        th, _ = _cash_karp(_float_step(rhs, rtol, atol, atol), x_start,
+                           x_end, t, 0.0, max_step=max_step, slope=rhs,
+                           context=lambda: _where(e, x, m))
         return np.reshape(th, out_shape)
 
-    v = potentials.offset_evaluator(spec, xi, mirror)
-    e1 = E - 1.0
+    step, scaled = _vector_step(potentials.offset_evaluator(spec, xi, mr),
+                                E - 1.0, rtol, atol)
 
-    def rhs(x, t):
-        s = np.sin(t)
-        return 1.0 + (e1 - v(x)) * s * s, None
+    def context():   # the component with the largest scaled error
+        i = np.argmax(np.nan_to_num(scaled, nan=-1.0))
+        return _where(E[i], xi[i], mr[i])
 
-    def norm(t0, t1, err, *_):
-        sc = atol + rtol * np.maximum(np.abs(t0), np.abs(t1))
-        return float((np.abs(err) / sc).max()), float(np.abs(t1 - t0).max())
-
-    th = np.array(np.broadcast_to(th0, shape), dtype=float)
-    return _cash_karp(rhs, norm, x_start, x_end, th, max_step=max_step)[0]
+    th, _ = _cash_karp(step, x_start, x_end, th0, max_step=max_step,
+                       context=context)
+    return th.reshape(out_shape)
 
 
 def bisect(theta_of, below, above, target, tol: float, ends=None,

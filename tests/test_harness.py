@@ -5,7 +5,7 @@ import os
 import pytest
 
 from gaplab import harness
-from gaplab.cli import main
+from gaplab.cli import USAGE_ERROR, main
 from gaplab.harness import ExperimentConfig, load_config, parse_potential_arg, save_config
 from gaplab.potentials import PotentialSpec, WindowChain
 
@@ -197,6 +197,14 @@ def test_cli_error_paths(capsys):
     capsys.readouterr()
     assert main(["flow", "--potential", "zero", "--energy-min", "0",
                  "--energy-max", "4"]) == 1
+
+
+def test_cli_usage_error_exit_code(capsys):
+    # a malformed command line is not a failed verdict (2)
+    assert main(["flow", "--xi-range", "-5:5"]) == USAGE_ERROR != 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: gaplab" in capsys.readouterr().out
 
 
 def test_cli_report_exit_code_zero_potential(capsys, tmp_path):

@@ -99,6 +99,21 @@ def test_scalar_evaluator_agrees_with_evaluate():
         assert f(x) == pytest.approx(P.evaluate(spec, x, 0.7), abs=1e-14)
 
 
+def test_offset_evaluator_agrees_with_evaluate():
+    spec = PotentialSpec.cosine_sum([(1.0, 0.31, 0.2), (0.4, 0.77, -1.0)])
+    xi = np.array([[-1.1, 0.0], [0.7, 2.4]])
+    xs = np.array([-2.0, 0.0, 1.3, 5.5])
+    for mirror, sign in ((False, 1.0), (True, -1.0)):
+        v = P.offset_evaluator(spec, xi, mirror)
+        for x in xs:
+            assert np.allclose(v(x), P.evaluate(spec, sign * x, xi),
+                               rtol=0.0, atol=1e-14)
+        # an array of x gives a leading axis
+        assert v(xs).shape == (4, 2, 2)
+        assert np.allclose(v(xs), P.evaluate(spec, sign * xs[:, None, None],
+                                             xi), rtol=0.0, atol=1e-14)
+
+
 def test_potential_validation():
     with pytest.raises(ValueError):
         PotentialSpec("squarewell")

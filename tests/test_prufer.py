@@ -11,6 +11,7 @@ from gaplab.potentials import PotentialSpec
 from conftest import mathieu_gap_edges
 
 ZERO = PotentialSpec.zero()
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_free_phase_advances_linearly_at_unit_energy():
@@ -113,20 +114,46 @@ def test_zero_count_against_matrix_oracle_mid_band(mathieu):
 
 
 def test_theta_grid_matches_scalar_path(mathieu):
+    # component by component against integrate: forward and backward to one
+    # point, and on a two-term golden potential with mirrored components to
+    # an array of landing points, between which theta is folded modulo pi
+    golden = PotentialSpec.cosine_sum([(1.0, 1.0 / (2.0 * math.pi), 0.3),
+                                       (0.6, GOLDEN / (2.0 * math.pi), 1.1)])
     es = np.array([-0.5, 0.1, 1.3])
-    for x_start in (-20.0, 20.0):   # forward and backward
-        th_vec = prufer.theta_grid(mathieu, es, 0.2, x_start, 0.0, 0.4,
-                                   rtol=1e-10, atol=1e-12)
-        for e, tv in zip(es, th_vec):
-            tr = prufer.integrate(mathieu, float(e), 0.2, x_start, 0.0, 0.4,
-                                  rtol=1e-10, atol_theta=1e-12,
-                                  atol_logr=1e-12)
-            assert tv == pytest.approx(tr.thetas[-1], abs=1e-7)
-            # width one runs integrate's float path: the same endpoint bits
-            th_one = prufer.theta_grid(mathieu, [e], 0.2, x_start, 0.0, 0.4,
-                                       rtol=1e-10, atol=1e-12)
-            assert th_one.shape == (1,)
-            assert th_one[0] == tr.thetas[-1]
+    cases = [(mathieu, 0.2, False, x_start, [0.0])
+             for x_start in (-20.0, 20.0)]
+    cases.append((golden, np.array([[0.2], [-1.7]]),
+                  np.array([[False], [True]]), -20.0, [-12.0, -7.5, -1.0, 0.0]))
+    for spec, xi, mirror, x_start, ends in cases:
+        x_end = ends[0] if len(ends) == 1 else np.array(ends)
+        th_vec = prufer.theta_grid(spec, es, xi, x_start, x_end, 0.4,
+                                   rtol=1e-10, atol=1e-12, mirror=mirror)
+        th_vec = th_vec.reshape(len(ends), -1)
+        components = zip(*(np.ravel(c).tolist()
+                           for c in np.broadcast_arrays(es, xi, mirror)))
+        for c, (e, x, m) in enumerate(components):
+            for k, end in enumerate(ends):
+                tr = prufer.integrate(spec, e, x, x_start, end, 0.4,
+                                      rtol=1e-10, atol_theta=1e-12,
+                                      atol_logr=1e-12, mirror=m)
+                assert th_vec[k, c] == pytest.approx(tr.thetas[-1], abs=1e-7)
+                # width one runs integrate's float path: the same endpoint
+                th_one = prufer.theta_grid(spec, [e], x, x_start, end, 0.4,
+                                           rtol=1e-10, atol=1e-12, mirror=m)
+                assert th_one.shape == (1,)
+                assert th_one[0] == tr.thetas[-1]
+
+
+def test_theta_grid_underflow_names_component():
+    # with no tolerance every trial step fails until the step underflows;
+    # the message names the component with the largest scaled error.  At
+    # E = 1 the free phase is linear and its error exactly 0 (0/0 is not
+    # largest); at E = 3 it is not
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            prufer.StiffnessError, match=r"^step underflow at x=-1 "
+            r"\(E=3\.0, xi=0\.5, side=left\)$"):
+        prufer.theta_grid(ZERO, [1.0, 3.0], 0.5, -1.0, 1.0, 0.3, rtol=0.0,
+                          atol=0.0, mirror=[False, True])
 
 
 def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
