@@ -2,15 +2,17 @@
 
 Each subcommand exposes one stage of the pipeline so stages can be rerun and
 debugged in isolation; `report` runs everything and writes the JSON report
-plus CSV artifacts.  Flags override values from --config.  Exit codes:
-0 on success (for `report`: all equality verdicts pass), 2 when a verdict
-fails, 1 on error, USAGE_ERROR (64) on a malformed command line.
+plus CSV artifacts.  Flags override values from --config; --verbose, before
+the subcommand, logs the work of each stage to stderr.  Exit codes: 0 on
+success (for `report`: all equality verdicts pass), 2 when a verdict fails,
+1 on error, USAGE_ERROR (64) on a malformed command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -142,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gaplab",
         description="gap labels of one-dimensional Schrodinger operators")
+    ap.add_argument("--verbose", action="store_true",
+                    help="log debug detail of every stage to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, energy=False):
@@ -201,11 +205,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse exits 0 after --help, else 2
         return USAGE_ERROR if exc.code else 0
+    log, handler = logging.getLogger("gaplab"), logging.StreamHandler()
+    level = log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except Exception as exc:  # surfacing errors as exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

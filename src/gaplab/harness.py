@@ -339,19 +339,15 @@ def persist(config: ExperimentConfig, reports, artifacts, energies,
     write_flow_curves(os.path.join(out, "flow_curves.csv"),
                       [flow for _, flow, _, _ in artifacts])
 
-    with open(os.path.join(out, "mu_tilde_phase.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("gap_id,xi,phase\n")
-        for gi, (gap, flow, beta_r, _) in enumerate(artifacts):
-            for x, p in zip(beta_r.xi_grid, beta_r.lift):
-                fh.write(f"{gi},{_fmt(x)},{_fmt(p)}\n")
-
-    with open(os.path.join(out, "trace_phase.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("gap_id,xi,phase\n")
-        for gi, (gap, flow, _, pt) in enumerate(artifacts):
-            for x, p in zip(pt.xi_nodes, pt.phase):
-                fh.write(f"{gi},{_fmt(x)},{_fmt(p)}\n")
+    for name, lifts in (("mu_tilde_phase.csv",
+                         [(a[2].xi_grid, a[2].lift) for a in artifacts]),
+                        ("trace_phase.csv",
+                         [(a[3].xi_nodes, a[3].phase) for a in artifacts])):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write("gap_id,xi,phase\n")
+            for gi, (xs, phase) in enumerate(lifts):
+                for x, p in zip(xs, phase):
+                    fh.write(f"{gi},{_fmt(x)},{_fmt(p)}\n")
 
 
 def convergence_study(config: ExperimentConfig, parameter: str,
@@ -391,19 +387,15 @@ def convergence_study(config: ExperimentConfig, parameter: str,
         if not gaps:
             raise ValueError("no gap found for the L sweep")
         gap = gaps[0]
-        xi_star = None
         for xi in np.linspace(0.0, 8.0, 33):
             vals = dirichlet.right_dirichlet_values(config.potential, xi,
                                                     gap, max(values))
-            mid_vals = [v for v in vals
-                        if abs(v - gap.mid) < 0.35 * gap.width]
-            if mid_vals:
+            if any(abs(v - gap.mid) < 0.35 * gap.width for v in vals):
                 xi_star = float(xi)
                 break
-        if xi_star is None:
+        else:
             raise ValueError("no mid-gap Dirichlet value found for L sweep")
-        prev = None
-        prev_diff = None
+        prev = prev_diff = None
         tol = 1e-10
         for L in values:
             vals = dirichlet.right_dirichlet_values(config.potential,

@@ -16,10 +16,12 @@ with Phi a continuous lift of sum_j phi_j, and an imaginary part
 both gap edges, so an edge state entering or leaving the gap adds only the
 2 pi that the lift folds away.  The nodes between the window ends only
 carry the lift; pi_trace spaces them by a bound on the edge-phase speed.
-Each node continues the in-gap eigenpairs of the node before, bisects the
-states that entered the gap, and certifies them all by a Sturm count and
-Kato-Temple bounds; only a node the certificate refuses calls
-eigh_tridiagonal.
+Each node continues the in-gap states of the node before by Rayleigh-quotient
+iteration, the first shift predicted by Hellmann-Feynman and the next ones
+read off the solves, starts each state that entered the gap by one solve at
+its eigenvalue from a loose bisection, and certifies them all by a Sturm
+count and one explicit Kato-Temple residual per state; only a node the
+certificate refuses calls eigh_tridiagonal.
 """
 
 from __future__ import annotations
@@ -97,8 +99,10 @@ class EdgeUnitary:
     eigenvalues: np.ndarray
     vectors: np.ndarray = field(repr=False)
     _in_gap: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _rho: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _diag: np.ndarray | None = field(default=None, repr=False, compare=False)
     _cold: bool = field(default=True, repr=False, compare=False)
-    _solves: int = field(default=0, repr=False, compare=False)
+    _work: tuple = field(default=(0, 0, 0, 0), repr=False, compare=False)
     _bisected: int = field(default=0, repr=False, compare=False)
 
     @property
@@ -132,70 +136,93 @@ def edge_projector(op: HalflineOperator, gap: Gap,
     offset, and bisects the states they miss; eigh_tridiagonal solves only
     the nodes it does not certify.
     """
-    w, v, solves, bisected = _continue(op, gap, start)
+    w, v, work, bisected = _continue(op, gap, start)
     if cold := w is None:
         _, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",
                                 select_range=(gap.e_lower, gap.e_upper))
         w = np.array([_rayleigh(op, x)[0] for x in v.T])
-    near = v[op.xs >= -op.L / 4.0]
+        work = np.add(work, (0, 0, len(w), 0))
+    near = v[np.searchsorted(op.xs, -op.L / 4.0):]
     mass, rot = np.linalg.eigh(near.T @ near)
-    states = v @ rot
+    states, rho = v @ rot, (rot ** 2).T @ w
     keep = mass >= mass_threshold
-    return EdgeUnitary(gap=gap, eigenvalues=(rot[:, keep] ** 2).T @ w,
-                       vectors=states[:, keep], _in_gap=states, _cold=cold,
-                       _solves=solves, _bisected=bisected)
+    return EdgeUnitary(gap=gap, eigenvalues=rho[keep], vectors=states[:, keep],
+                       _in_gap=states, _rho=rho, _diag=op.diag, _cold=cold,
+                       _work=tuple(work), _bisected=bisected)
 
 
 def _rayleigh(op: HalflineOperator, v: np.ndarray, floor: float = 0.0):
     """Rayleigh quotient rho of the unit vector v and ||(T - rho) v||."""
     off = float(op.offdiag[0])
-    pot = op.diag + 2.0 * off   # exact: d is within a factor 2 of -2 off
-    dv = np.diff(v, prepend=0.0, append=0.0)   # so 2/h^2 cannot cancel
-    rho = float(np.sum(pot * v * v) - off * np.sum(dv * dv))
-    res = off * (dv[1:] - dv[:-1]) + (pot - rho) * v
-    return rho, max(math.sqrt(np.sum(res * res)), floor)
+    # differences with the zero ends, so that 2/h^2 cannot cancel
+    dv = np.empty(len(v) + 1)
+    dv[0], dv[1:-1], dv[-1] = v[0], np.diff(v), -v[-1]
+    res = (op.diag + 2.0 * off) * v   # exact: d is within a factor 2 of -2 off
+    rho = float(np.dot(v, res) - off * np.dot(dv, dv))
+    res += off * np.diff(dv) - rho * v
+    return rho, max(math.sqrt(np.dot(res, res)), floor)
 
 
-def _rqi(op: HalflineOperator, gap: Gap, v: np.ndarray, tol: float):
-    """(rho, r, v, solves): Rayleigh-quotient iteration from the unit vector
-    v until r^2 is a thousandth of the Kato-Temple budget tol |gap|."""
-    d, e = op.diag, op.offdiag
-    for solves in range(RQI_STEPS + 1):
-        rho, r = _rayleigh(op, v, tol)
-        if solves == RQI_STEPS or r * r <= 1e-3 * tol * gap.width:
-            break
-        y, info = lapack.dgtsv(e, d - rho, e, v)[3:]
+def _rqi(op: HalflineOperator, gap: Gap, v: np.ndarray, rho: float,
+         tol: float):
+    """(rho, r, v, solves, evaluations): Rayleigh-quotient iteration from the
+    unit vector v at shift rho until r^2 is a thousandth of the Kato-Temple
+    budget tol delta, delta to the nearer gap edge, or [rho +- r] leaves the
+    gap.  Each solve (T - rho) y = v gives the next shift and r, those of
+    y/||y||; _rayleigh confirms an r that meets the goal and is returned."""
+    lo, hi, r, solves, evaluations = gap.e_lower, gap.e_upper, math.inf, 0, 0
+    while True:
+        goal = 1e-3 * tol * min(abs(rho - lo), abs(hi - rho))
+        if r * r <= goal or solves == RQI_STEPS:
+            rho, r = _rayleigh(op, v, tol)
+            evaluations += 1
+            if r * r <= goal or solves == RQI_STEPS:
+                return rho, r, v, solves, evaluations
+        y, info = lapack.dgtsv(op.offdiag, op.diag - rho, op.offdiag, v,
+                               overwrite_d=1)[3:]
+        solves += 1
         if info:   # T - rho is singular: rho is an eigenvalue
-            return rho, r, v, solves + 1
-        v = y / math.sqrt(np.sum(y * y))
-    return rho, r, v, solves
+            r = 0.0
+            continue
+        vy, yy = float(np.dot(v, y)), float(np.dot(y, y))
+        rho, r = rho + vy / yy, math.sqrt(max(1.0 - vy * vy / yy, 0.0) / yy)
+        v = y / math.sqrt(yy)
+        if rho - r >= hi or rho + r <= lo:
+            return rho, r, v, solves, evaluations
 
 
 def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
-    """(w, v, solves, bisected): in-gap pairs of op, polished from those of
-    start and, while the gap's Sturm count holds more, from dstein vectors,
-    one call per eigenvalue, at a loose dstebz bisection of the gap; w = v =
-    None unless, with residuals r floored at tol = eps ||T||_1, they meet
-    that count, the [rho +- r] lie disjoint in it, and Kato-Temple bounds
-    r^2/delta <= tol, delta to next or edge."""
+    """(w, v, work, bisected): in-gap pairs of op, polished by _rqi from the
+    in-gap states of start at their Rayleigh quotients here (start's plus
+    <v, (D - D_start) v>) and, while the gap's Sturm count holds more, from
+    one seeded vector at each eigenvalue of a loose dstebz bisection of the
+    gap; w = v = None unless, with residuals r floored at tol = eps ||T||_1,
+    they meet that count, the [rho +- r] lie disjoint in it, and Kato-Temple
+    bounds r^2/delta <= tol, delta to next or edge.  work counts the Sturm
+    counts, solves, explicit residuals and seeded starts; bisected, the
+    states bisected, each of which takes one start."""
     d, e = op.diag, op.offdiag
     lo, hi = gap.e_lower, gap.e_upper
     tol = np.finfo(float).eps * float(np.max(np.abs(d)) - 2.0 * e[0])
-    count = lapack.dstebz(d, e, 1, lo, hi, 0, 0, gap.width, "B")[0]
-    vs = [] if start is None or start._in_gap is None else start._in_gap.T
-    pairs = [_rqi(op, gap, v, tol) for v in vs]
+    pairs = []
+    if start is not None and start._in_gap is not None:
+        dd = d - start._diag   # Hellmann-Feynman
+        pairs = [_rqi(op, gap, v, q + float(np.dot(v, dd * v)), tol)
+                 for v, q in zip(start._in_gap.T, start._rho)]
     known = [p[0] for p in pairs if lo < p[0] < hi]
-    bisected = 0
+    # with no state to follow, the loose bisection is the Sturm count
+    loose, new = BISECT_TOL * gap.width, []
+    count, w = lapack.dstebz(d, e, 1, lo, hi, 0, 0,
+                             gap.width if known else loose, "B")[:2]
     if count > len(known):
-        loose = BISECT_TOL * gap.width
-        m, w, _, split = lapack.dstebz(d, e, 1, lo, hi, 0, 0, loose, "B")[:4]
-        new = [x for x in w[:m] if all(abs(k - x) > loose for k in known)]
-        bisected, block = len(new), np.ones(len(d), np.int32)
-        # one call per eigenvalue: a joint call reorthogonalizes the vectors
-        # of close ones, needless where the certificate checks the count
-        pairs += [_rqi(op, gap, lapack.dstein(d, e, [x], block, split)[0][:, 0],
-                       tol) for x in new]
-    solves = sum(p[3] for p in pairs)
+        if known:
+            w = lapack.dstebz(d, e, 1, lo, hi, 0, 0, loose, "B")[1]
+        new = [x for x in w[:count] if all(abs(k - x) > loose for k in known)]
+        z = np.random.default_rng(0).standard_normal(len(d))
+        z /= math.sqrt(np.dot(z, z))
+        pairs += [_rqi(op, gap, z, x, tol) for x in new]
+    work = (int(bool(known)), sum(p[3] for p in pairs),
+            sum(p[4] for p in pairs), len(new))
     found = sorted((p for p in pairs if lo < p[0] < hi), key=lambda p: p[0])
     rho, r, v = (np.array([p[i] for p in found]) for i in range(3))
     left = np.append(lo, rho[:-1] + r[:-1])
@@ -203,8 +230,8 @@ def _continue(op: HalflineOperator, gap: Gap, start: EdgeUnitary | None):
     if (len(found) != count
             or np.any(rho - r <= left) or np.any(rho + r >= right)
             or np.any(r * r > tol * np.minimum(rho - left, right - rho))):
-        return None, None, solves, bisected
-    return rho, v.reshape(len(found), len(d)).T, solves, bisected
+        return None, None, work, len(new)
+    return rho, v.reshape(len(found), len(d)).T, work, len(new)
 
 
 @dataclass(frozen=True)
@@ -256,14 +283,14 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
     reach = 0.95 * math.pi / sigma if sigma else math.inf
     unit = solve(a)
     nodes, angles, halved = [a], [unit.angles], 0
-    cold, solves, bisected = unit._cold, unit._solves, unit._bisected
+    cold, work, bisected = unit._cold, np.array(unit._work), unit._bisected
     lift = [float(np.sum(angles[0]))]
     while nodes[-1] < b:
         x, r0 = nodes[-1], len(angles[-1])
         x1 = min(b, x + reach / max(2 * r0, 1))
         while True:
             trial = solve(x1, unit)
-            cold, solves = cold + trial._cold, solves + trial._solves
+            cold, work = cold + trial._cold, work + trial._work
             bisected += trial._bisected
             p1 = trial.angles
             d = math.remainder(float(np.sum(p1)) - lift[-1], TWO_PI)
@@ -282,8 +309,10 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
         angles.append(p1)
         lift.append(lift[-1] + d)
     log.debug("pi_trace: window (%r, %r), %d nodes solved, %d steps halved, "
-              "%d cold eigensolves, %d tridiagonal solves, %d states bisected",
-              a, b, len(nodes) + halved, halved, cold, solves, bisected)
+              "%d cold eigensolves, %d Sturm counts, %d tridiagonal solves, "
+              "%d explicit residuals, %d inverse-iteration starts, "
+              "%d states bisected", a, b, len(nodes) + halved, halved, cold,
+              *work, bisected)
 
     norm = TWO_PI * (b - a)
     first, last = angles[0], angles[-1]

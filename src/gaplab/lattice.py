@@ -44,21 +44,11 @@ def sturm_count(diag: np.ndarray, off_value: float, energy: float) -> int:
     LDL^T pivots of a symmetric tridiagonal with constant off-diagonal;
     negative pivots count eigenvalues below the shift.
     """
-    c = off_value * off_value
-    count = 0
-    q = 1.0
-    first = True
+    c, count, q = off_value * off_value, 0, None
     for d in diag:
-        if first:
-            q = d - energy
-            first = False
-        else:
-            if q == 0.0:
-                q = 1e-300
-            q = (d - energy) - c / q
-        if q < 0.0:
-            count += 1
-    return count
+        q = d - energy if q is None else (d - energy) - c / (q or 1e-300)
+        count += q < 0.0
+    return int(count)
 
 
 def fd_eigenvalue_count(spec: PotentialSpec, a: float, b: float, xi: float,
@@ -106,21 +96,6 @@ def floquet_band_edges(spec: PotentialSpec, period: float, h: float,
         w = np.linalg.eigvalsh(m)
         edges.append(np.sort(w)[:need])
     per, anti = edges
-    merged = []
-    # spectrum: [per0, anti0], [anti1, per1], [per2, anti2], ...
-    pi_, ai = 0, 0
-    take_per = True
-    seq = []
-    while len(seq) < 2 * n_bands:
-        if take_per:
-            seq.extend([per[pi_], anti[ai]])
-            pi_ += 1
-            ai += 1
-        else:
-            seq.extend([anti[ai], per[pi_]])
-            ai += 1
-            pi_ += 1
-        take_per = not take_per
-    for i in range(n_bands):
-        merged.append((float(seq[2 * i]), float(seq[2 * i + 1])))
-    return merged
+    # bands: [per0, anti0], [anti1, per1], [per2, anti2], ...
+    return [(float(per[k]), float(anti[k])) if k % 2 == 0
+            else (float(anti[k]), float(per[k])) for k in range(n_bands)]

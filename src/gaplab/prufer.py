@@ -230,8 +230,9 @@ def _float_step(rhs, rtol, atol_theta, atol_logr):
         err_c = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c)
         sc_t = atol_theta + rtol * max(abs(th), abs(th_new))
         sc_r = atol_logr + rtol * max(abs(cr), abs(cr_new))
-        return (th_new, cr_new, max(abs(err_t) / sc_t, abs(err_c) / sc_r),
-                abs(th_new - th))
+        err = (max(abs(err_t) / sc_t, abs(err_c) / sc_r) if sc_t and sc_r
+               else math.inf)   # a zero scale rejects, as on the numpy path
+        return th_new, cr_new, err, abs(th_new - th)
 
     return step
 

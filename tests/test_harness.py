@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -257,9 +258,22 @@ def test_cli_klabel_labels(capsys, tmp_path):
     ini = tmp_path / "small.ini"
     ini.write_text(SMALL_INI, encoding="utf-8")
     assert main(["klabel", "--config", str(ini)]) == 0
-    labels = _labels(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert "pi_trace:" not in captured.err   # logging is silent by default
+    labels = _labels(captured.out)
     assert labels["pi_trace"] == pytest.approx(1.0 / (2.0 * math.pi),
                                                rel=1e-9)
     assert labels["pi_curves"] == pytest.approx(0.18588048456051467, rel=1e-9)
     assert labels["boundary_force"] == pytest.approx(0.1784488747344137,
                                                      rel=1e-9)
+
+
+def test_cli_verbose_logs_to_stderr(capsys, tmp_path):
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI, encoding="utf-8")
+    assert main(["--verbose", "klabel", "--config", str(ini)]) == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^pi_trace: window .* states bisected$", captured.err,
+                     re.MULTILINE)
+    assert _labels(captured.out)["pi_trace"] == pytest.approx(
+        1.0 / (2.0 * math.pi), rel=1e-9)

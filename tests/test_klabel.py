@@ -170,11 +170,19 @@ def test_pi_trace_logs_nodes_at_debug_level(caplog, mathieu, gap1):
         spec, gap = _shifted_mathieu(n, 0.1)
         with caplog.at_level(logging.DEBUG, logger="gaplab.klabel"):
             klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
-        cold, solves, bisected = map(int, re.search(
-            r"(\d+) cold eigensolves, (\d+) tridiagonal solves, "
-            r"(\d+) states bisected", caplog.text).groups())
+        nodes, cold, sturms, solves, residuals, starts, bisected = map(
+            int, re.search(
+                r"(\d+) nodes solved, .* (\d+) cold eigensolves, "
+                r"(\d+) Sturm counts, (\d+) tridiagonal solves, "
+                r"(\d+) explicit residuals, (\d+) inverse-iteration starts, "
+                r"(\d+) states bisected", caplog.text).groups())
         assert cold == 0
         assert solves > 0 and bisected > 0
+        # one start per bisected state; at most one Sturm count per node,
+        # none where the bisection counts; about one residual per vector
+        assert starts == bisected
+        assert 0 < sturms < nodes
+        assert 0 < residuals < solves / 2
 
 
 def _cold_trace(monkeypatch, spec, gap, window, h):
@@ -295,57 +303,63 @@ def test_continuation_bisects_entering_states(x0, x1):
     assert not unit._cold and unit._in_gap.shape[1] == sturm
 
 
-def test_entering_states_take_one_dstein_call_each(monkeypatch):
-    # no pairs to continue, and two in-gap states 0.06 apart: each dstein
-    # call takes one eigenvalue, and the polished pairs pass the certificate
+def test_entering_states_take_one_inverse_iteration_start_each(monkeypatch):
+    # no pairs to continue, and two in-gap states 0.06 apart: each takes one
+    # solve from the seeded start vector at its bisected eigenvalue and no
+    # dstein call, and the polished pairs pass the certificate
     spec, gap = _shifted_mathieu(1, 0.0)
     op = klabel.build_halfline(spec, 4.75, 60.0, 0.005)
-    real = lapack.dstein
-    sizes = []
+    real, solves, dstein = lapack.dgtsv, [], []
 
-    def spy(d, e, w, *args):
-        sizes.append(len(w))
-        return real(d, e, w, *args)
+    def spy(dl, d, du, b, **kwargs):
+        solves.append((b, float(op.diag[-1] - d[-1])))
+        return real(dl, d, du, b, **kwargs)
 
-    monkeypatch.setattr(lapack, "dstein", spy)
-    w, v, _, bisected = klabel._continue(op, gap, None)
-    assert bisected == 2 and sizes == [1, 1]
+    monkeypatch.setattr(lapack, "dgtsv", spy)
+    monkeypatch.setattr(lapack, "dstein", lambda *args: dstein.append(args))
+    w, v, work, bisected = klabel._continue(op, gap, None)
+    # the starts are the solves that share one right-hand side
+    shifts = [x for b, x in solves if sum(c is b for c, _ in solves) > 1]
+    assert bisected == work[3] == len(shifts) == 2 and not dstein
     assert w is not None and v.shape == (len(op.diag), 2)
     exact = eigh_tridiagonal(op.diag, op.offdiag, select="v",
                              select_range=(gap.e_lower, gap.e_upper))[0]
     assert len(exact) == 2 and np.max(np.abs(w - exact)) < 1e-11
+    assert np.max(np.abs(np.array(shifts) - exact)) < (klabel.BISECT_TOL
+                                                       * gap.width)
 
 
 def test_bisected_pair_short_of_kato_temple_is_refused(monkeypatch):
-    # the dstein vector of the entering state, tilted until its residual r
-    # has r^2/delta a few times eps ||T||_1, and left unpolished
+    # the one solve from the start vector of the entering state returns its
+    # polished vector tilted until its residual r has r^2/delta a few times
+    # eps ||T||_1, and no step polishes it
     spec, gap = _shifted_mathieu(2, 0.0)
     x0, x1 = ENTERING[0]
     start = klabel.edge_projector(klabel.build_halfline(spec, x0, 60.0, 0.01),
                                   gap)
     op = klabel.build_halfline(spec, x1, 60.0, 0.01)
     tol = np.finfo(float).eps * float(np.max(op.diag) - 2.0 * op.offdiag[0])
-    monkeypatch.setattr(klabel, "RQI_STEPS", 0)
     w, z, _, _ = klabel._continue(op, gap, start)
     assert start._in_gap.shape[1] == 0 and len(w) == 1
-    real = lapack.dstein
     noise = np.random.default_rng(0).standard_normal(len(op.diag))
 
-    def tilted(z, eps):
-        z = z + eps * noise[:, None]
-        return z / np.sqrt(np.sum(z * z, axis=0))
+    def tilted(eps):
+        y = z[:, 0] + eps * noise
+        return y / np.sqrt(np.sum(y * y))
 
-    rho, r = klabel._rayleigh(op, tilted(z, 1e-12)[:, 0])
+    rho, r = klabel._rayleigh(op, tilted(1e-12))
     delta = min(rho - gap.e_lower, gap.e_upper - rho)
-    eps = 1e-12 * math.sqrt(4.0 * tol * delta) / r
-    rho, r = klabel._rayleigh(op, tilted(z, eps)[:, 0])
+    y = tilted(1e-12 * math.sqrt(4.0 * tol * delta) / r)
+    rho, r = klabel._rayleigh(op, y)
     assert tol < r * r / delta < 10.0 * tol
+    real = lapack.dgtsv
 
-    def dstein(*args):
-        z, *rest = real(*args)
-        return (tilted(z, eps), *rest)
+    def dgtsv(*args, **kwargs):
+        *rest, _, info = real(*args, **kwargs)
+        return (*rest, y, info)
 
-    monkeypatch.setattr(lapack, "dstein", dstein)
+    monkeypatch.setattr(lapack, "dgtsv", dgtsv)
+    monkeypatch.setattr(klabel, "RQI_STEPS", 1)
     assert klabel._continue(op, gap, start)[0] is None
     assert klabel.edge_projector(op, gap, start=start)._cold
 
@@ -357,13 +371,41 @@ def test_continuation_refuses_pairs_short_of_kato_temple(monkeypatch):
     start = klabel.edge_projector(klabel.build_halfline(spec, 0.0, 60.0, 0.01),
                                   gap)
     op = klabel.build_halfline(spec, 0.05, 60.0, 0.01)
-    w, _, solves, bisected = klabel._continue(op, gap, start)
+    w, _, work, bisected = klabel._continue(op, gap, start)
     exact = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
                                  select_range=(gap.e_lower, gap.e_upper))
-    assert solves == 2 and bisected == 0 and len(w) == len(exact) == 1
+    assert work[1] == 2 and bisected == 0 and len(w) == len(exact) == 1
     assert abs(w[0] - exact[0]) < 1e-10
     monkeypatch.setattr(klabel, "RQI_STEPS", 1)
     assert klabel._continue(op, gap, start)[0] is None
+
+
+def test_continued_vector_takes_one_explicit_residual(monkeypatch):
+    # the first shift is the Rayleigh quotient of the continued vector at the
+    # new node, the next comes from the solve, and _rayleigh evaluates only
+    # the vector that meets the goal
+    spec, gap = _shifted_mathieu(1, 0.1)
+    start = klabel.edge_projector(klabel.build_halfline(spec, 0.0, 60.0, 0.01),
+                                  gap)
+    op = klabel.build_halfline(spec, 0.05, 60.0, 0.01)
+    real_solve, real_rayleigh, shifts, evaluated = (lapack.dgtsv,
+                                                    klabel._rayleigh, [], [])
+
+    def solve(dl, d, du, b, **kwargs):
+        shifts.append(float(op.diag[-1] - d[-1]))
+        return real_solve(dl, d, du, b, **kwargs)
+
+    def rayleigh(op, v, floor=0.0):
+        evaluated.append(v)
+        return real_rayleigh(op, v, floor)
+
+    monkeypatch.setattr(lapack, "dgtsv", solve)
+    monkeypatch.setattr(klabel, "_rayleigh", rayleigh)
+    w, _, work, _ = klabel._continue(op, gap, start)
+    assert start._in_gap.shape[1] == len(w) == 1
+    assert list(work) == [1, 2, 1, 0] and len(evaluated) == 1
+    rho = real_rayleigh(op, start._in_gap[:, 0])[0]
+    assert abs(shifts[0] - rho) < 1e-9
 
 
 def test_edge_phases_move_within_slope_bound(mathieu):

@@ -156,6 +156,14 @@ def test_theta_grid_underflow_names_component():
                           atol=0.0, mirror=[False, True])
 
 
+def test_float_path_underflow_at_zero_tolerance():
+    # a single component runs the float path: its zero error scale rejects
+    # every step as the numpy path does, not with a division by zero
+    with pytest.raises(prufer.StiffnessError, match=r"^step underflow at "
+                       r"x=-1 \(E=3\.0, xi=0\.5, side=right\)$"):
+        prufer.theta_grid(ZERO, 3.0, 0.5, -1.0, 1.0, 0.3, rtol=0.0, atol=0.0)
+
+
 def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):
     # the left problem's boundary phase integrated backward from +L, pi
     # minus that of its forward mirror image, decreases in E, so its bracket
