@@ -296,9 +296,8 @@ def run(config: ExperimentConfig):
         try:
             report, flow, beta_r, pt = label_gap(config, gap)
         except Exception as exc:
-            raise RuntimeError(
-                f"labelling gap {gi} ({gap.e_lower:.6f}, {gap.e_upper:.6f}) "
-                f"failed: {exc}") from exc
+            raise type(exc)(f"labelling gap {gi} ({gap.e_lower:.6f}, "
+                            f"{gap.e_upper:.6f}) failed: {exc}") from exc
         reports.append(report)
         artifacts.append((gap, flow, beta_r, pt))
     if config.out_dir:

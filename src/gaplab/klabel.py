@@ -324,7 +324,8 @@ def pi_trace(spec: PotentialSpec, gap: Gap, xi_window, dxi: float,
     if imag_residue > 10.0 * base_err:
         raise NumericalDifferentiationError(
             f"imaginary residue {imag_residue:.3e} exceeds 10x error budget "
-            f"{base_err:.3e}")
+            f"{base_err:.3e} in gap ({gap.e_lower:.6g}, {gap.e_upper:.6g}) "
+            f"on xi window ({a:.6g}, {b:.6g})")
     return KLabelResult(value=float(value),
                         error_estimate=base_err + imag_residue,
                         imag_residue=imag_residue,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from . import potentials, prufer
 from .potentials import PotentialSpec, WindowChain
@@ -71,6 +70,7 @@ def window_mean(lengths: np.ndarray, values: np.ndarray | list[float],
 def lambda_mean(f, chain: WindowChain, *, quad_tol: float = 1e-9,
                 limit: int = 2000) -> LambdaMean:
     """Window mean of a callable integrand via adaptive quadrature per window."""
+    from scipy import integrate as _sciint   # kept out of `import gaplab`
     values = []
     for (a, b) in chain.windows:
         val, _ = _sciint.quad(f, a, b, epsabs=quad_tol * (b - a),
@@ -148,8 +148,8 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
     tol = 3.0 * (lift_mean.error_estimate + zero_mean.error_estimate)
     if abs(ex_l - ex_z) > tol:
         raise InconsistencyError(
-            f"lift and zero-density rotation numbers disagree: "
-            f"{ex_l} vs {ex_z} (tolerance {tol})")
+            f"lift and zero-density rotation numbers disagree at E="
+            f"{energy:.10g}, xi={xi:.10g}: {ex_l} vs {ex_z} (tolerance {tol})")
 
     below = energy < -potentials.amplitude_bound(spec)
     regime = "gap_or_below" if (in_gap or below) else "heuristic"

@@ -2,7 +2,10 @@
 
 import ast
 import collections
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gaplab
@@ -61,3 +64,29 @@ def test_every_top_level_name_is_read():
               if words[name] < 2 and name not in gaplab.__all__
               and full not in TEST_ONLY]
     assert not unread
+
+
+COLD_START = """
+import math, sys
+import gaplab, gaplab.cli
+spec = gaplab.PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), 0.0)])
+gap = gaplab.Gap(-1.0647957251402358, 0.5795020425266311)  # gap 1 of 2 cos x
+gaplab.johnson_moser_alpha(spec, gap.mid, chain=gaplab.WindowChain.geometric(
+    10.0, 1.6, 3), in_gap=True)
+gaplab.trace_flow(spec, gap, 0.0, 1.0, 0.1, 20.0)
+gaplab.pi_trace(spec, gap, (0.0, 1.0), 0.1, 20.0, 0.01)
+heavy = {"scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special"}
+print(sorted(heavy & sys.modules.keys()))
+gaplab.lambda_mean(math.sin, gaplab.WindowChain.geometric(10.0, 2.0, 3))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_requests_load_no_scipy_beyond_linalg():
+    # the labels need LAPACK alone; only lambda_mean's quad loads
+    # scipy.integrate (and with it optimize, sparse and special)
+    env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]

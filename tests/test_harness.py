@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from gaplab import harness
+from gaplab import dirichlet, harness
 from gaplab.cli import USAGE_ERROR, main
 from gaplab.harness import ExperimentConfig, load_config, parse_potential_arg, save_config
 from gaplab.potentials import PotentialSpec, WindowChain
@@ -215,6 +215,20 @@ def test_cli_report_exit_code_zero_potential(capsys, tmp_path):
     path = tmp_path / "zero.ini"
     save_config(cfg, str(path))
     assert main(["report", "--config", str(path)]) == 0
+
+
+def test_failed_gap_keeps_its_error_type(monkeypatch, capsys, tmp_path):
+    def unresolved(config, gap):
+        raise dirichlet.FlowResolutionError("a step folds past its bound")
+
+    monkeypatch.setattr(harness, "label_gap", unresolved)
+    with pytest.raises(dirichlet.FlowResolutionError,
+                       match=r"^labelling gap 0 \(.*\) failed: a step folds"):
+        harness.run(small_mathieu_config())
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI, encoding="utf-8")
+    assert main(["report", "--config", str(ini)]) == 1
+    assert "error: labelling gap 0" in capsys.readouterr().err
 
 
 def test_cli_flow_writes_float_csv(capsys, tmp_path):

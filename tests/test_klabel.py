@@ -123,6 +123,19 @@ def test_pi_trace_exact_on_whole_periods(n, phase):
     assert len(res.phase) == len(res.xi_nodes) == len(res.retained_counts)
 
 
+def test_pi_trace_abort_names_gap_and_window():
+    # box end differences are exact on whole periods only: (-3, 3) holds
+    # six of 2 cos 2 pi x, (-pi, pi) does not
+    spec, gap = PotentialSpec.cosine_sum([(2.0, 1.0, 0.0)]), Gap(8.84, 10.8934)
+    with pytest.raises(klabel.NumericalDifferentiationError,
+                       match=r"in gap \(8\.84, 10\.8934\) "
+                             r"on xi window \(-3\.14159, 3\.14159\)$"):
+        klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
+    res = klabel.pi_trace(spec, gap, (-3.0, 3.0), 0.05, 60.0, 0.01)
+    assert abs(res.value - 1.0) < 1e-12
+    assert res.imag_residue < 1e-12
+
+
 @pytest.mark.parametrize("phase", [0.1, 2.977])
 @pytest.mark.parametrize("n, max_nodes", [(1, 30), (2, 45)])
 def test_pi_trace_node_choice_at_edge_trace_settings(n, max_nodes, phase):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,14 @@ def test_alpha_offset_invariance(mathieu, gap1):
     r0 = rotation.johnson_moser_alpha(mathieu, gap1.mid, 0.0, in_gap=True)
     r1 = rotation.johnson_moser_alpha(mathieu, gap1.mid, 2.4, in_gap=True)
     assert abs(r0.value - r1.value) <= r0.error_estimate + r1.error_estimate
+
+
+def test_alpha_disagreement_names_energy_and_offset(monkeypatch, mathieu,
+                                                    gap1):
+    monkeypatch.setattr(rotation.prufer, "count_zeros", lambda *args: 0)
+    with pytest.raises(rotation.InconsistencyError,
+                       match=re.escape(f"E={gap1.mid:.10g}, xi=0.7:")):
+        rotation.johnson_moser_alpha(mathieu, gap1.mid, 0.7, in_gap=True)
 
 
 def test_alpha_agrees_with_ids_in_gap(mathieu, gap1, x_chain_long):
