@@ -81,8 +81,7 @@ def cmd_flow(args) -> int:
         print("no gap detected in the scan range")
         return 1
     gap = gaps[0]
-    lo, hi = (map(float, args.xi_range.split(":")) if args.xi_range
-              else cfg.xi_chain.largest)
+    lo, hi = args.xi_range or cfg.xi_chain.largest
     curves = dirichlet.trace_flow(cfg.potential, gap, lo, hi, cfg.dxi, cfg.L,
                                   sides=(dirichlet.RIGHT, dirichlet.LEFT))
     print(f"gap ({gap.e_lower:.6f}, {gap.e_upper:.6f}): "
@@ -140,6 +139,17 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _xi_range(text: str) -> tuple[float, float]:
+    """LO:HI with LO < HI, for --xi-range."""
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want LO:HI, got {text!r}") from None
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"need LO < HI, got {text!r}")
+    return lo, hi
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gaplab",
@@ -179,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="Dirichlet-value flow in the first gap")
     common(p)
     p.add_argument("--xi-range", dest="xi_range", metavar="LO:HI",
+                   type=_xi_range,
                    help="offset sweep; write --xi-range=LO:HI, since a "
                    "negative LO read apart is taken for an option")
     p.set_defaults(func=cmd_flow)

@@ -67,6 +67,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.e_max > self.e_min:
             raise ValueError("need e_min < e_max")
+        if self.gap_edge_margin >= 0.5:
+            raise ValueError("gap_edge_margin must be below 0.5, or the "
+                             "trimmed gap is empty")
+        if self.max_gaps is not None and self.max_gaps < 0:
+            raise ValueError("max_gaps must be non-negative")
 
 
 def _parse_potential_text(kind: str, term_lines: str) -> PotentialSpec:
@@ -126,39 +131,6 @@ def load_config(path: str) -> ExperimentConfig:
     if cp.has_section("output") and cp.has_option("output", "dir"):
         kwargs["out_dir"] = cp.get("output", "dir")
     return ExperimentConfig(**kwargs)
-
-
-def save_config(config: ExperimentConfig, path: str) -> None:
-    cp = configparser.ConfigParser()
-    spec = config.potential
-    cp["potential"] = {"kind": spec.kind}
-    if spec.kind == "cosine_sum":
-        cp["potential"]["terms"] = "\n" + "\n".join(
-            f"{a!r} {f!r} {p!r}" for a, f, p in spec.terms)
-    cp["scan"] = {"e_min": repr(config.e_min), "e_max": repr(config.e_max),
-                  "resolution": repr(config.resolution)}
-
-    def chain_params(chain: WindowChain) -> dict:
-        a0, b0 = chain.windows[0]
-        a1, b1 = chain.windows[min(1, len(chain) - 1)]
-        half = 0.5 * (b0 - a0)
-        ratio = (b1 - a1) / (b0 - a0) if len(chain) > 1 else 1.6
-        return {"half_width": repr(half), "ratio": repr(ratio),
-                "count": str(len(chain))}
-
-    cp["chain_x"] = chain_params(config.x_chain)
-    cp["chain_xi"] = chain_params(config.xi_chain)
-    num = {"L": repr(config.L), "h": repr(config.h), "dxi": repr(config.dxi),
-           "gap_edge_margin": repr(config.gap_edge_margin),
-           "mass_threshold": repr(config.mass_threshold),
-           "trace_window_halfwidth": repr(config.trace_window_halfwidth)}
-    if config.max_gaps is not None:
-        num["max_gaps"] = str(config.max_gaps)
-    cp["numerics"] = num
-    if config.out_dir:
-        cp["output"] = {"dir": config.out_dir}
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
 
 
 @dataclass(frozen=True)
@@ -358,8 +330,8 @@ def convergence_study(config: ExperimentConfig, parameter: str,
     ratio of successive differences is reported while the earlier one is
     above the root tolerance; below it both are root-finding noise).
     dxi: the Dirichlet rotation number of the first gap.
-    chain: free-potential rotation number at E = 1, error shrinking like
-    one over the window length.
+    chain: free-potential rotation number at E = 1 by both alpha routes;
+    the bump means carry no one-over-length boundary term.
     """
     rows = []
     if parameter == "h":
@@ -426,7 +398,6 @@ def convergence_study(config: ExperimentConfig, parameter: str,
         for count in values:
             chain = WindowChain.geometric(25.0, 1.6, int(count))
             a = rotation.johnson_moser_alpha(free, 1.0, chain=chain)
-            # the zero-count route carries the one-over-length boundary term
             zd = a.zero_density_mean.window_values[-1][1]
             rows.append({"count": int(count),
                          "window_length": float(chain.lengths[-1]),

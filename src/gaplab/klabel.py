@@ -9,12 +9,13 @@ states that cross the gap (a spectral flow); it must reproduce both the
 circle-map formula evaluated on the flow curves and the mean boundary force
 per unit energy carried by the edge states.
 
-Every one of these integrands is an exact derivative, so each label is a
-difference between the window ends: -[Phi - sum_j sin phi_j] / (2 pi |W|),
-with Phi a continuous lift of sum_j phi_j, and an imaginary part
-[sum_j (1 - cos phi_j)] / (2 pi |W|).  sin phi and 1 - cos phi vanish at
-both gap edges, so an edge state entering or leaving the gap adds only the
-2 pi that the lift folds away.  The nodes between the window ends only
+Every one of these integrands is an exact derivative of a function of the
+lift Phi of sum_j phi_j.  pi_trace takes its difference between the window
+ends: -[Phi - sum_j sin phi_j] / (2 pi |W|), and an imaginary part
+[sum_j (1 - cos phi_j)] / (2 pi |W|); pi_curves and boundary_force take
+the bump mean of its slope over a chain (rotation.sampled_rotation).
+sin phi and 1 - cos phi vanish at both gap edges, so an edge state entering
+or leaving the gap adds only the 2 pi that the lift folds away.  The nodes between the window ends only
 carry the lift; pi_trace spaces them by a bound on the edge-phase speed.
 Each node continues the in-gap states of the node before by Rayleigh-quotient
 iteration, the first shift predicted by Hellmann-Feynman and the next ones
@@ -340,8 +341,9 @@ def pi_curves(flow, gap: Gap, chain: WindowChain | None = None, *,
     With mu_tilde = exp(i Phi) and Phi the flow's right phase lift on its
     own grid, the integrand is i Phi' - (exp(i Phi))', so the label is the
     rotation number of (sin Phi - Phi)/2 pi, with the normalization of the
-    trace formula; the imaginary part is that of (1 - cos Phi)/2 pi.  dxi
-    keeps its place for callers but is unused.
+    trace formula; the imaginary part is that of (1 - cos Phi)/2 pi, and its
+    last window's size, the residue, joins the error.  dxi keeps its place
+    for callers but is unused.
     """
     chain = chain or dirichlet.default_xi_chain()
     phi = dirichlet.phase_lift(flow)
@@ -349,8 +351,7 @@ def pi_curves(flow, gap: Gap, chain: WindowChain | None = None, *,
                                      chain)
     imag = rotation.sampled_rotation(flow.xi, (1.0 - np.cos(phi)) / TWO_PI,
                                      chain)
-    # small windows carry large boundary terms; only the tail is diagnostic
-    residue = max(abs(v) for _, v in imag.window_values[-3:])
+    residue = abs(imag.extrapolated)
     return KLabelResult(value=real.extrapolated,
                         error_estimate=real.error_estimate + residue,
                         imag_residue=residue)

@@ -522,38 +522,33 @@ def boundary_data(spec: PotentialSpec, energy: float, offset: float, L: float,
                         dpsi_normalized=dpsi)
 
 
-def count_zeros(trace: SolutionTrace, x_from: float, x_to: float, *,
-                boundary_tol: float = 1e-9) -> int:
-    """Number of zeros of psi in (x_from, x_to].
+def crossings(trace: SolutionTrace, x_from: float, x_to: float) -> np.ndarray:
+    """Zeros of psi in (x_from, x_to] on the trace's Hermite interpolant.
 
-    Because theta crosses each multiple of pi exactly once and upward, the
-    count is the number of multiples of pi in (theta(x_from), theta(x_to)].
-    boundary_tol nudges the floor so that crossings sitting on the query
-    points (up to integrator accuracy) are classified consistently.
+    theta crosses each multiple of pi once and upward, so the nodes bracket
+    each crossing and one joint bisection of the interpolant pins them all.
     """
-    if x_to < x_from:
-        raise ValueError("x_to must be >= x_from")
-    if x_to == x_from:
-        return 0
-    ta = trace.theta_at(x_from)
-    tb = trace.theta_at(x_to)
-    return int(math.floor(tb / math.pi + boundary_tol)
-               - math.floor(ta / math.pi + boundary_tol))
+    xs, th, _ = trace._ascending()
+    k_first = int(math.floor(trace.theta_at(x_from) / math.pi + 1e-9)) + 1
+    k_last = int(math.floor(trace.theta_at(x_to) / math.pi + 1e-9))
+    targets = np.arange(k_first, k_last + 1) * math.pi
+    j = np.clip(np.searchsorted(th, targets), 1, len(xs) - 1)
+    scale = max(1.0, abs(x_from), abs(x_to))
+    return bisect(lambda x, _: trace.theta_at(x), xs[j - 1], xs[j], targets,
+                  1e-13 * scale)
 
 
 def zeros(trace: SolutionTrace, x_from: float, x_to: float, *,
           refine_tol: float = 1e-12) -> np.ndarray:
     """Locations of the zeros of psi in (x_from, x_to], polished.
 
-    The Hermite interpolant brackets each pi-crossing; a few Newton steps
-    with theta re-evaluated by short high-accuracy re-integration from the
-    nearest node then push the residual to refine_tol.
+    From each of the crossings, a few Newton steps with theta re-evaluated
+    by short high-accuracy re-integration from the nearest node push the
+    residual to refine_tol.
     """
     xs, th, _ = trace._ascending()
-    ta = trace.theta_at(x_from)
-    tb = trace.theta_at(x_to)
-    k_first = int(math.floor(ta / math.pi + 1e-9)) + 1
-    k_last = int(math.floor(tb / math.pi + 1e-9))
+    guesses = crossings(trace, x_from, x_to)
+    targets = np.round(trace.theta_at(guesses) / math.pi) * math.pi
     v = potentials.scalar_evaluator(trace.potential, trace.offset)
     rhs = _theta_rhs_scalar(v, trace.energy)
 
@@ -570,12 +565,6 @@ def zeros(trace: SolutionTrace, x_from: float, x_to: float, *,
                        max_step=0.05)
         return float(tr.thetas[-1])
 
-    targets = np.arange(k_first, k_last + 1) * math.pi
-    # bracket each crossing by nodes, then bisect the Hermite interpolant
-    j = np.clip(np.searchsorted(th, targets), 1, len(xs) - 1)
-    scale = max(1.0, abs(x_from), abs(x_to))
-    guesses = bisect(lambda x, _: trace.theta_at(x), xs[j - 1], xs[j], targets,
-                     1e-13 * scale)
     out = []
     for target, xq in zip(targets.tolist(), guesses.tolist()):
         # Newton polish on the exact lift

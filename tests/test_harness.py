@@ -7,7 +7,7 @@ import pytest
 
 from gaplab import dirichlet, harness
 from gaplab.cli import USAGE_ERROR, main
-from gaplab.harness import ExperimentConfig, load_config, parse_potential_arg, save_config
+from gaplab.harness import ExperimentConfig, load_config, parse_potential_arg
 from gaplab.potentials import PotentialSpec, WindowChain
 
 
@@ -74,26 +74,74 @@ def test_parse_potential_arg():
         parse_potential_arg("2,0.5")
 
 
+FULL_INI = """\
+[potential]
+kind = cosine_sum
+terms =
+    2.0 0.5 0.0
+    1.0 0.25 1.5
+
+[scan]
+e_min = -1.5
+e_max = 3.0
+resolution = 0.04
+
+[chain_x]
+half_width = 20.0
+ratio = 1.5
+count = 3
+
+[chain_xi]
+half_width = 5.0
+ratio = 2.0
+count = 4
+
+[numerics]
+L = 40.0
+h = 0.005
+dxi = 0.05
+gap_edge_margin = 0.02
+mass_threshold = 0.6
+trace_window_halfwidth = 2.5
+max_gaps = 3
+
+[output]
+dir = results
+"""
+
+
 def test_config_roundtrip(tmp_path):
-    cfg = small_mathieu_config()
+    # every field of the INI file reaches the config
     path = tmp_path / "exp.ini"
-    save_config(cfg, str(path))
+    path.write_text(FULL_INI, encoding="utf-8")
     loaded = load_config(str(path))
-    assert loaded.potential == cfg.potential
-    assert loaded.e_min == cfg.e_min
-    assert loaded.e_max == cfg.e_max
-    assert loaded.resolution == cfg.resolution
-    assert loaded.x_chain == cfg.x_chain
-    assert loaded.xi_chain == cfg.xi_chain
-    assert loaded.L == cfg.L and loaded.h == cfg.h and loaded.dxi == cfg.dxi
-    assert loaded.max_gaps == cfg.max_gaps
+    expected = ExperimentConfig(
+        potential=PotentialSpec.cosine_sum([(2.0, 0.5, 0.0),
+                                            (1.0, 0.25, 1.5)]),
+        e_min=-1.5, e_max=3.0, resolution=0.04,
+        x_chain=WindowChain.geometric(20.0, 1.5, 3),
+        xi_chain=WindowChain.geometric(5.0, 2.0, 4),
+        L=40.0, h=0.005, dxi=0.05, gap_edge_margin=0.02,
+        mass_threshold=0.6, trace_window_halfwidth=2.5, max_gaps=3,
+        out_dir="results")
+    for name in ExperimentConfig.__dataclass_fields__:
+        assert getattr(loaded, name) == getattr(expected, name), name
 
 
 def test_config_validation():
+    zero = PotentialSpec.zero()
     with pytest.raises(ValueError):
-        ExperimentConfig(potential=PotentialSpec.zero(), resolution=-1.0)
+        ExperimentConfig(potential=zero, resolution=-1.0)
     with pytest.raises(ValueError):
-        ExperimentConfig(potential=PotentialSpec.zero(), e_min=2.0, e_max=1.0)
+        ExperimentConfig(potential=zero, e_min=2.0, e_max=1.0)
+    # a negative max_gaps would slice gaps off the end of the scan
+    with pytest.raises(ValueError, match="max_gaps"):
+        ExperimentConfig(potential=zero, max_gaps=-1)
+    # a margin of half the width or more leaves no trimmed gap
+    for margin in (0.5, 0.6):
+        with pytest.raises(ValueError, match="gap_edge_margin"):
+            ExperimentConfig(potential=zero, gap_edge_margin=margin)
+    assert ExperimentConfig(potential=zero, max_gaps=0).max_gaps == 0
 
 
 def test_zero_potential_report_is_empty():
@@ -164,10 +212,11 @@ def test_convergence_study_L_exponential(mathieu):
 def test_convergence_study_chain_boundary_scaling():
     cfg = ExperimentConfig(potential=PotentialSpec.zero())
     rows = harness.convergence_study(cfg, "chain", [4, 6, 8])
-    # zero-count density converges like one over the window length
-    errs = [row["zero_density_error"] for row in rows]
-    lens = [row["window_length"] for row in rows]
-    assert errs[-1] <= errs[0] * (lens[0] / lens[-1]) * 3.0 + 1e-12
+    # the free phase at E = 1 is linear and its zeros evenly spaced, so both
+    # bump means are exact to rounding: no one-over-length boundary term
+    for row in rows:
+        assert row["error"] < 1e-12
+        assert row["zero_density_error"] < 1e-12
 
 
 def test_convergence_study_rejects_unknown_parameter():
@@ -209,11 +258,11 @@ def test_cli_usage_error_exit_code(capsys):
 
 
 def test_cli_report_exit_code_zero_potential(capsys, tmp_path):
-    cfg = ExperimentConfig(potential=PotentialSpec.zero(), e_min=0.0,
-                           e_max=3.0, resolution=0.05,
-                           x_chain=WindowChain.geometric(25.0, 1.6, 5))
     path = tmp_path / "zero.ini"
-    save_config(cfg, str(path))
+    path.write_text("[potential]\nkind = zero\n\n"
+                    "[scan]\ne_min = 0.0\ne_max = 3.0\nresolution = 0.05\n\n"
+                    "[chain_x]\nhalf_width = 25.0\nratio = 1.6\ncount = 5\n",
+                    encoding="utf-8")
     assert main(["report", "--config", str(path)]) == 0
 
 
@@ -268,6 +317,17 @@ def test_cli_flow_negative_xi_range(capsys, tmp_path):
     assert first.endswith("curves over xi in [-1.5, 1.0]")
 
 
+def test_cli_flow_xi_range_is_parsed_before_any_work(monkeypatch, capsys):
+    def no_scan(config):
+        raise AssertionError("the gap scan ran")
+
+    monkeypatch.setattr(harness, "detect_gaps", no_scan)
+    for text in ("5", "3:1", "1:1", "a:2", "1:2:3"):
+        assert main(["flow", "--potential", "zero",
+                     f"--xi-range={text}"]) == USAGE_ERROR
+        assert "argument --xi-range" in capsys.readouterr().err
+
+
 def test_cli_klabel_labels(capsys, tmp_path):
     ini = tmp_path / "small.ini"
     ini.write_text(SMALL_INI, encoding="utf-8")
@@ -277,8 +337,8 @@ def test_cli_klabel_labels(capsys, tmp_path):
     labels = _labels(captured.out)
     assert labels["pi_trace"] == pytest.approx(1.0 / (2.0 * math.pi),
                                                rel=1e-9)
-    assert labels["pi_curves"] == pytest.approx(0.18588048456051467, rel=1e-9)
-    assert labels["boundary_force"] == pytest.approx(0.1784488747344137,
+    assert labels["pi_curves"] == pytest.approx(0.16575100015313213, rel=1e-9)
+    assert labels["boundary_force"] == pytest.approx(0.16482669348131726,
                                                      rel=1e-9)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
-from gaplab import dirichlet, klabel, lattice, potentials
+from gaplab import dirichlet, klabel, lattice, potentials, rotation
 from gaplab.potentials import PotentialSpec, WindowChain
 from gaplab.spectrum import Gap
 
@@ -478,17 +478,20 @@ def test_pi_curves_empty_flow_is_zero(gap1):
     assert res.value == 0.0
 
 
-def test_pi_curves_is_end_difference_of_lift(mathieu, gap1,
-                                              flow_gap1_period):
-    # a window whose ends are offsets of the flow's grid
+def test_pi_curves_is_bump_mean_of_lift(mathieu, gap1, flow_gap1_period):
+    # on a window whose ends are offsets of the flow's grid, the trapezoids
+    # over w' times the lift agree with adaptive quadrature of w times the
+    # lift's slope (integration by parts) on its linear interpolant
     xis = flow_gap1_period.xi
     i, j = 3, len(xis) - 4
     chain = WindowChain(((float(xis[i]), float(xis[j])),))
     phi = dirichlet.beta(mathieu, gap1, chain, flow=flow_gap1_period).lift
-    expected = -((phi[j] - phi[i]) - (math.sin(phi[j]) - math.sin(phi[i]))
-                 ) / (2.0 * math.pi * (xis[j] - xis[i]))
+    slopes = np.diff((np.sin(phi) - phi) / (2.0 * math.pi)) / np.diff(xis)
     pc = klabel.pi_curves(flow_gap1_period, gap1, chain)
-    assert abs(pc.value - expected) < 1e-12
+    expected = rotation.lambda_mean(
+        lambda x: float(slopes[np.searchsorted(xis, x, side="right") - 1]),
+        chain)
+    assert abs(pc.value - expected.extrapolated) < 1e-6
 
 
 def test_pi_curves_matches_beta(mathieu, gap1, xi_chain, flow_gap1):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import rotation
+from conftest import mathieu_gap_edges
+from gaplab import dirichlet, klabel, rotation
 from gaplab.potentials import PotentialSpec, WindowChain
+from gaplab.spectrum import Gap
 
 ZERO = PotentialSpec.zero()
 
@@ -17,31 +19,28 @@ def chain_400():
     return WindowChain.geometric(12.5, 2.0, 5)
 
 
-LENGTHS = np.array([1.0, 2.0, 4.0])
-
-
-def test_window_mean_richardson_step_on_shrinking_tail():
-    # differences -0.5, -0.25 shrink like 1/|W|: one step removes them
-    wm = rotation.window_mean(LENGTHS, [1.0, 0.5, 0.25])
-    assert wm.extrapolated == 0.0
-    assert wm.error_estimate == 0.75
+def test_window_mean_is_last_value_with_last_change_as_bar():
+    wm = rotation.window_mean([1.0, 0.5, 0.25])
+    assert wm.extrapolated == 0.25
+    assert wm.error_estimate == 0.25
     assert wm.window_values == ((0, 1.0), (1, 0.5), (2, 0.25))
 
 
-def test_window_mean_keeps_last_value_of_oscillating_tail():
-    wm = rotation.window_mean(LENGTHS, [0.2, 0.4, 0.3])
-    assert wm.extrapolated == 0.3
-    assert wm.error_estimate == pytest.approx(0.2, abs=1e-15)
+def test_window_mean_bar_is_rounding_level_on_flat_values():
+    assert rotation.window_mean([1.0, 1.0, 1.0]).error_estimate == 1e-15
+    single = rotation.window_mean([0.7])
+    assert (single.extrapolated, single.error_estimate) == (0.7, 1e-15)
 
 
-def test_window_mean_bar_respects_floor():
-    flat = [1.0, 1.0, 1.0]
-    assert rotation.window_mean(LENGTHS, flat).error_estimate == 1e-15
-    wm = rotation.window_mean(LENGTHS, flat, floor=0.3)
-    assert wm.extrapolated == 1.0
-    assert wm.error_estimate == 0.3
-    assert rotation.window_mean(LENGTHS, [1.0, 0.5, 0.25],
-                                floor=0.3).error_estimate == 0.75
+def test_bump_mean_has_no_boundary_term():
+    # a box mean of the slope of 0.3 x + sin x is off by up to 2/|W|, 5e-3 at
+    # |W| = 400; the bump mean carries no boundary term, and its error falls
+    # faster than any power of |W| (3e-3, 8e-5, 4e-6, 7e-9, 6e-13 here)
+    rot = rotation.rotation_number(lambda x: 0.3 * x + math.sin(x),
+                                   chain_400())
+    errs = [abs(v - 0.3) for _, v in rot.window_values]
+    assert all(e1 < 0.05 * e0 for e0, e1 in zip(errs[1:], errs[2:]))
+    assert errs[-1] < 1e-11 < rot.error_estimate < 1e-8
 
 
 def test_lambda_mean_constant_is_exact():
@@ -120,11 +119,9 @@ def test_alpha_below_spectrum_vanishes():
     assert res.zero_density_mean.extrapolated == 0.0
     assert abs(res.value) < 2e-3
     assert res.regime == "gap_or_below"
-    # the window values are flat, so the bars are the count granularity
-    # floors over the largest window
-    size = WindowChain.geometric().lengths[-1]
-    assert res.error_estimate == res.lift_mean.error_estimate >= 0.5 / size
-    assert res.zero_density_mean.error_estimate >= 1.0 / size
+    # the phase is constant, so both bars sit at the rounding level
+    assert res.error_estimate == res.lift_mean.error_estimate < 1e-14
+    assert res.zero_density_mean.error_estimate < 1e-14
 
 
 def test_alpha_monotone_in_energy(mathieu):
@@ -156,7 +153,8 @@ def test_alpha_offset_invariance(mathieu, gap1):
 
 def test_alpha_disagreement_names_energy_and_offset(monkeypatch, mathieu,
                                                     gap1):
-    monkeypatch.setattr(rotation.prufer, "count_zeros", lambda *args: 0)
+    monkeypatch.setattr(rotation.prufer, "crossings",
+                        lambda *args: np.empty(0))
     with pytest.raises(rotation.InconsistencyError,
                        match=re.escape(f"E={gap1.mid:.10g}, xi=0.7:")):
         rotation.johnson_moser_alpha(mathieu, gap1.mid, 0.7, in_gap=True)
@@ -168,3 +166,57 @@ def test_alpha_agrees_with_ids_in_gap(mathieu, gap1, x_chain_long):
                                      in_gap=True)
     i = spectrum.ids(mathieu, gap1.mid, x_chain_long)
     assert abs(a.value - i.value) <= a.error_estimate + i.error_estimate
+
+
+def test_alpha_node_spacing_converged(monkeypatch):
+    # halving the quadrature node spacing leaves alpha unchanged to 1e-12
+    chain = WindowChain.geometric(25.0, 1.6, 4)
+    cases = [(PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), phase)]),
+              Gap(*mathieu_gap_edges(n)).mid)
+             for phase in (0.3, 2.0) for n in (1, 2)]
+    coarse = [rotation.johnson_moser_alpha(spec, e, chain=chain).value
+              for spec, e in cases]
+    monkeypatch.setattr(rotation, "NODE_SPACING", rotation.NODE_SPACING / 2)
+    fine = [rotation.johnson_moser_alpha(spec, e, chain=chain).value
+            for spec, e in cases]
+    assert np.max(np.abs(np.subtract(coarse, fine))) < 1e-12
+
+
+@pytest.mark.parametrize("k, n", [(0, 2), (5, 1), (5, 2), (15, 2)])
+def test_chain_labels_within_own_bars(k, n):
+    # V = 2 cos(x + phase) at its exact gap-n edges, with the chains of the
+    # edge_labels benchmark: every chain label lies within its own bar of
+    # n/(2 pi).  At these phases box means with a Richardson step missed.
+    phase = 2.0 * math.pi * k / 16 + 0.3
+    spec = PotentialSpec.cosine_sum([(2.0, 1.0 / (2.0 * math.pi), phase)])
+    gap = Gap(*mathieu_gap_edges(n))
+    x_chain = WindowChain.geometric(25.0, 1.6, 4)
+    xi_chain = WindowChain.geometric(6.5, 1.6, 2)
+    alpha = rotation.johnson_moser_alpha(spec, gap.mid, chain=x_chain,
+                                         in_gap=True)
+    flow = dirichlet.trace_flow(spec, gap, *xi_chain.largest, 0.1, 30.0,
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
+    labels = [(alpha.value, alpha.error_estimate),
+              (alpha.zero_density_mean.extrapolated,
+               alpha.zero_density_mean.error_estimate)]
+    for variant in ("right_only", "two_sided"):
+        b = dirichlet.beta(spec, gap, xi_chain, 0.1, 30.0, variant, flow=flow)
+        labels.append((b.value, b.error_estimate))
+    pc = klabel.pi_curves(flow, gap, xi_chain)
+    bf = klabel.boundary_force(flow, gap, xi_chain)
+    labels += [(pc.value, pc.error_estimate), (bf.value, bf.error_estimate)]
+    for value, err in labels:
+        assert abs(value - n / (2.0 * math.pi)) <= err
+
+
+def test_alpha_golden_gap_seed_has_contracted():
+    # cos(2 pi x + 0.6607) + cos(2 pi g x + 3.2432) in the middle of its
+    # ids-1 gap (9.29, 10.36), where gamma is about 0.08: a pad of 25 leaves
+    # exp(-4) of the seed's error at the largest window, and alpha 6.8e-7
+    # off 1, outside its bar
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    spec = PotentialSpec.cosine_sum([(1.0, 1.0, 0.6607),
+                                     (1.0, golden, 3.2432)])
+    a = rotation.johnson_moser_alpha(
+        spec, 9.82, chain=WindowChain.geometric(25.0, 1.6, 4), in_gap=True)
+    assert abs(a.value - 1.0) <= a.error_estimate < 1e-8
