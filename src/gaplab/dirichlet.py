@@ -488,6 +488,8 @@ def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
     """
     if not xi_to > xi_from:
         raise ValueError("need xi_from < xi_to")
+    if not dxi > 0:
+        raise ValueError(f"need a positive offset step dxi, got {dxi!r}")
     speed = slope_bound(spec)
     step = float(dxi)
     while True:
@@ -509,49 +511,28 @@ class DerivativeCheck:
     analytic: float
 
 
-def _refine_root_near(spec, gap, xi, mu_guess, side, L, *, tol, rtol,
-                      band=None):
-    """Re-pin a single Dirichlet value near a guess at one offset."""
-    lo_t, hi_t = gap.trimmed()
-    band = band or max(0.05 * gap.width, 1e-3)
-    lo = max(lo_t, mu_guess - band)
-    hi = min(hi_t, mu_guess + band)
-    th = _scan_theta(spec, np.array([lo, hi, mu_guess]), float(xi), L, side,
-                     rtol)
-    target = round(float(th[2]) / math.pi) * math.pi
-    if not th[0] < target <= th[1]:
-        lo, hi = lo_t, hi_t  # fall back to the full trimmed gap
-    return float(prufer.bisect(
-        lambda e, _: _scan_theta(spec, e, xi, L, side, rtol),
-        lo, hi, target, tol))
-
-
 def flow_derivative_check(spec: PotentialSpec, curve: DirichletCurve,
-                          index: int, L: float, *, delta: float = 1e-3,
-                          tol: float = 1e-11,
-                          rtol: float = 1e-10) -> DerivativeCheck:
+                          index: int, L: float) -> DerivativeCheck:
     """Compare d(mu)/d(xi) against the boundary-derivative formula.
 
-    The finite difference refines the curve's eigenvalue at xi +/- delta;
-    the analytic value is -|psi'(0)|^2 for the half-line eigenfunction
+    One window scan over the offsets xi0 - delta, xi0 and xi0 + delta, with
+    delta = 1e-3, finds the side's values there; at each offset the one
+    nearest the curve's sample mu(xi0) is kept, and the central difference
+    of the outer two is the finite difference.  The analytic value is
+    -|psi'(0)|^2 at the central value for the half-line eigenfunction
     normalized on [-L, 0] (positive mirror for left curves).
     """
     if not 0 < index < len(curve) - 1:
         raise ValueError("need an interior sample of the curve")
+    delta = 1e-3
     xi0 = float(curve.xi[index])
     mu0 = float(curve.mu[index])
     side = curve.side
-    mu_c = _refine_root_near(spec, curve.gap, xi0, mu0, side, L,
-                             tol=tol, rtol=rtol)
-    slope_guess = abs(float(curve.mu[index + 1] - curve.mu[index - 1])
-                      / float(curve.xi[index + 1] - curve.xi[index - 1]))
-    band = max(10.0 * slope_guess * delta, 1e-4 * curve.gap.width)
-    mu_p = _refine_root_near(spec, curve.gap, xi0 + delta, mu_c, side, L,
-                             tol=tol, rtol=rtol, band=band)
-    mu_m = _refine_root_near(spec, curve.gap, xi0 - delta, mu_c, side, L,
-                             tol=tol, rtol=rtol, band=band)
+    values = _window_scan(spec, curve.gap, xi0 + delta * np.array([-1, 0, 1]),
+                          L, (side,), mu_tol=1e-11, rtol=1e-10)[side]
+    mu_m, mu_c, mu_p = (float(v[np.argmin(np.abs(v - mu0))]) for v in values)
     fd = (mu_p - mu_m) / (2.0 * delta)
-    bd = prufer.boundary_data(spec, mu_c, xi0, L, side=side, rtol=rtol)
+    bd = prufer.boundary_data(spec, mu_c, xi0, L, side=side, rtol=1e-10)
     analytic = FAMILIES[side].direction * bd.dpsi_normalized ** 2
     return DerivativeCheck(finite_difference=float(fd),
                            analytic=float(analytic))
@@ -564,7 +545,7 @@ class InterlacingReport:
     s_points: tuple[float, ...]
     s_star_points: tuple[float, ...]
     violations: tuple[tuple[float, float, int], ...]
-    zero_set_max_deviation: float | None
+    zero_set_max_deviation: float
     passed: bool
 
 
@@ -596,9 +577,12 @@ def interlacing_check(spec: PotentialSpec, gap: Gap, mu: float, xi_range,
                       rtol: float = 1e-11) -> InterlacingReport:
     """Between consecutive right-Dirichlet offsets lies exactly one left one.
 
-    Also cross-computes the right set against the zero set of the half-line
-    eigenfunction translated from the first member (the two must coincide),
-    reporting the worst deviation.
+    Also checks the zero-set identity: the right offsets s are the zeros of
+    the left-decaying solution psi at energy mu.  One trajectory of psi,
+    seeded L before xi_lo, crosses the whole range at max_step 0.01, whose
+    Hermite interpolant holds each zero to about 3e-10 (prufer.crossings);
+    the worst deviation from s is reported, infinite where the two sets
+    differ in size, so an s that misses zeros of psi fails.
     """
     xi_lo, xi_hi = float(xi_range[0]), float(xi_range[1])
     s = _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, RIGHT,
@@ -611,25 +595,14 @@ def interlacing_check(spec: PotentialSpec, gap: Gap, mu: float, xi_range,
         if inside != 1:
             violations.append((float(a), float(b), inside))
 
-    zero_dev = None
-    if len(s):
-        xi0 = float(s[0])
-        x_end = xi_hi - xi0
-        span_lo = min(-L, xi_lo - xi0 - 1.0)
-        seed = prufer.seed_decaying_left(spec, mu, xi0, -span_lo)
-        tr = prufer.integrate(spec, mu, xi0, span_lo, max(x_end, span_lo + 1.0),
-                              seed, rtol=1e-12, atol_theta=1e-14,
-                              atol_logr=1e-14, max_step=0.05)
-        zs = prufer.zeros(tr, xi_lo - xi0 - 1e-9, x_end)
-        z_set = zs + xi0
-        z_set = z_set[(z_set >= xi_lo - 1e-9) & (z_set <= xi_hi + 1e-9)]
-        if len(z_set) != len(s):
-            zero_dev = math.inf
-        elif len(z_set):
-            zero_dev = float(np.max(np.abs(np.sort(z_set) - s)))
-        else:
-            zero_dev = 0.0
-    passed = not violations and (zero_dev is None or zero_dev < 1e-6)
+    tr = prufer.integrate(spec, mu, xi_lo, -L, xi_hi - xi_lo,
+                          prufer.seed_decaying_left(spec, mu, xi_lo, L),
+                          rtol=1e-12, atol_theta=1e-14, atol_logr=1e-14,
+                          max_step=0.01)
+    zs = prufer.crossings(tr, 0.0, xi_hi - xi_lo) + xi_lo
+    zero_dev = (float(np.max(np.abs(zs - s), initial=0.0))
+                if len(zs) == len(s) else math.inf)
+    passed = not violations and zero_dev < 1e-6
     return InterlacingReport(
         s_points=tuple(float(v) for v in s),
         s_star_points=tuple(float(v) for v in s_star),

@@ -72,6 +72,10 @@ class ExperimentConfig:
                              "trimmed gap is empty")
         if self.max_gaps is not None and self.max_gaps < 0:
             raise ValueError("max_gaps must be non-negative")
+        for name in ("x_chain", "xi_chain"):
+            if len(getattr(self, name)) < 2:
+                raise ValueError(f"{name} needs two or more windows: the "
+                                 "change between the last two is the error")
 
 
 def _parse_potential_text(kind: str, term_lines: str) -> PotentialSpec:
@@ -196,7 +200,7 @@ def edge_state_labels(config: ExperimentConfig, gap: Gap, flow):
     return pt, pc, bf
 
 
-def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
+def label_gap(config: ExperimentConfig, gap: Gap):
     """Compute every label and verdict for one gap of detect_gaps(config).
 
     Returns (report, flow, beta_result, pi_trace_result); the trailing
@@ -208,11 +212,9 @@ def label_gap(config: ExperimentConfig, gap: Gap, *, flow=None):
     alpha_res = rotation.johnson_moser_alpha(spec, gap.mid,
                                              chain=config.x_chain,
                                              in_gap=True)
-    a_big, b_big = config.xi_chain.largest
-    if flow is None:
-        flow = dirichlet.trace_flow(spec, gap, a_big, b_big, config.dxi,
-                                    config.L,
-                                    sides=(dirichlet.RIGHT, dirichlet.LEFT))
+    flow = dirichlet.trace_flow(spec, gap, *config.xi_chain.largest,
+                                config.dxi, config.L,
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
     beta_r = dirichlet.beta(spec, gap, config.xi_chain, config.dxi, config.L,
                             "right_only", flow=flow)
     beta_t = dirichlet.beta(spec, gap, config.xi_chain, config.dxi, config.L,

@@ -536,44 +536,3 @@ def crossings(trace: SolutionTrace, x_from: float, x_to: float) -> np.ndarray:
     scale = max(1.0, abs(x_from), abs(x_to))
     return bisect(lambda x, _: trace.theta_at(x), xs[j - 1], xs[j], targets,
                   1e-13 * scale)
-
-
-def zeros(trace: SolutionTrace, x_from: float, x_to: float, *,
-          refine_tol: float = 1e-12) -> np.ndarray:
-    """Locations of the zeros of psi in (x_from, x_to], polished.
-
-    From each of the crossings, a few Newton steps with theta re-evaluated
-    by short high-accuracy re-integration from the nearest node push the
-    residual to refine_tol.
-    """
-    xs, th, _ = trace._ascending()
-    guesses = crossings(trace, x_from, x_to)
-    targets = np.round(trace.theta_at(guesses) / math.pi) * math.pi
-    v = potentials.scalar_evaluator(trace.potential, trace.offset)
-    rhs = _theta_rhs_scalar(v, trace.energy)
-
-    def theta_exact(xq):
-        j = int(np.clip(np.searchsorted(xs, xq) - 1, 0, len(xs) - 2))
-        # start from the nearer node
-        if abs(xq - xs[j + 1]) < abs(xq - xs[j]):
-            j += 1
-        x0, t0 = float(xs[j]), float(th[j])
-        if x0 == xq:
-            return t0
-        tr = integrate(trace.potential, trace.energy, trace.offset,
-                       x0, xq, t0, rtol=1e-12, atol_theta=1e-14,
-                       max_step=0.05)
-        return float(tr.thetas[-1])
-
-    out = []
-    for target, xq in zip(targets.tolist(), guesses.tolist()):
-        # Newton polish on the exact lift
-        for _ in range(4):
-            tv = theta_exact(xq)
-            resid = tv - target
-            if abs(resid) < refine_tol:
-                break
-            slope = rhs(xq, tv)[0]
-            xq -= resid / slope
-        out.append(xq)
-    return np.array(out)

@@ -57,8 +57,11 @@ def _bump(t, slope: bool = False):
 
 def window_mean(values: np.ndarray | list[float]) -> LambdaMean:
     """The chain estimator: the last window's value, with the change from
-    the window before as its error (at least the rounding level 1e-15)."""
+    the window before as its error (at least the rounding level 1e-15).
+    One window has no change to measure, so it is refused."""
     values = np.asarray(values, dtype=float)
+    if len(values) < 2:
+        raise ValueError("a window mean needs a chain of two or more windows")
     return LambdaMean(
         window_values=tuple((i, float(v)) for i, v in enumerate(values)),
         extrapolated=float(values[-1]),

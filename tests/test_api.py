@@ -68,6 +68,45 @@ def test_every_top_level_name_is_read():
     assert unread == set(TEST_ONLY)
 
 
+def test_every_option_is_passed():
+    # a defaulted parameter of a non-public top-level function that no call
+    # in the project passes, by name or by position, is an unused option; a
+    # call that forwards *args or **kwargs passes all.  Calls are matched by
+    # function name only, which can miss an unused option but not flag a
+    # used one
+    root = Path(gaplab.__file__).parents[2]
+    trees = {p: ast.parse(p.read_text())
+             for d in ("src", "tests", "perfbench", "scripts")
+             for p in (root / d).rglob("*.py")}
+    positional = collections.Counter()   # most positional arguments passed
+    named, forwarded = collections.defaultdict(set), set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            positional[name] = max(positional[name], len(call.args))
+            named[name] |= {k.arg for k in call.keywords}
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or None in named[name]):
+                forwarded.add(name)
+    unused = set()
+    for path in Path(gaplab.__file__).parent.glob("*.py"):
+        for fn in trees[path].body:
+            if (not isinstance(fn, ast.FunctionDef)
+                    or fn.name in gaplab.__all__ or fn.name in forwarded):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(args)
+                         if i >= len(args) - len(fn.args.defaults)]
+            defaulted += [(len(args), a.arg) for a, d in zip(
+                fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            unused |= {f"{path.stem}.{fn.name}({arg}=)" for i, arg in defaulted
+                       if i >= positional[fn.name]
+                       and arg not in named[fn.name]}
+    assert unused == set()
+
+
 COLD_START = """
 import math, sys
 import gaplab, gaplab.cli

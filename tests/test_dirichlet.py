@@ -125,6 +125,18 @@ def test_flow_rejects_bad_range(mathieu, gap1):
         dirichlet.trace_flow(mathieu, gap1, 2.0, 2.0, 0.05)
 
 
+def test_flow_rejects_bad_step():
+    # a zero step divides by zero and a negative one overflows the grid
+    # size; beta passes its dxi on to trace_flow
+    fake_gap = Gap(-3.0, -0.5)
+    for dxi in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dxi"):
+            dirichlet.trace_flow(ZERO, fake_gap, 0.0, 1.0, dxi)
+        with pytest.raises(ValueError, match="dxi"):
+            dirichlet.beta(ZERO, fake_gap, WindowChain.geometric(1.0, 1.6, 2),
+                           dxi)
+
+
 def test_derivative_identity_on_right_curve(flow_gap1_period, mathieu):
     curve = max((c for c in flow_gap1_period if c.side == "right"), key=len)
     for index in (len(curve) // 3, 2 * len(curve) // 3):
@@ -167,6 +179,19 @@ def test_interlacing_trivial_when_no_offsets():
     rep = dirichlet.interlacing_check(ZERO, fake_gap, -1.5, (0.0, 3.0), 30.0)
     assert rep.s_points == ()
     assert rep.passed
+
+
+def test_interlacing_fails_when_offsets_miss_zeros():
+    # psi has 18 zeros in (-7, 11) at mid-gap of the ids-1 gap of the golden
+    # potential, but L = 30 is a multiple of its period-1 term, so each
+    # per-offset pass puts its truncation artifact on the offset it should
+    # find and s comes back empty: the zero set must not agree with it
+    spec = PotentialSpec.cosine_sum([(1.0, 1.0, 0.0), (1.0, GOLDEN, 0.0)])
+    gap = Gap(9.3569, 10.3606)
+    rep = dirichlet.interlacing_check(spec, gap, gap.mid, (-7.0, 11.0), 30.0)
+    assert rep.s_points == ()
+    assert rep.zero_set_max_deviation == math.inf
+    assert not rep.passed
 
 
 def test_circle_phase_trivial_cases(gap1):
@@ -219,6 +244,14 @@ def test_beta_zero_without_crossings():
     chain = WindowChain.geometric(4.0, 1.6, 3)
     res = dirichlet.beta(ZERO, fake_gap, chain, 0.1, 30.0)
     assert res.value == 0.0
+
+
+def test_beta_refuses_one_window_chain():
+    # one window has no change between windows to serve as the error bar
+    fake_gap = Gap(-3.0, -0.5)
+    with pytest.raises(ValueError, match="two or more windows"):
+        dirichlet.beta(ZERO, fake_gap, WindowChain.geometric(4.0, 1.6, 1),
+                       0.1, 30.0)
 
 
 def test_beta_origin_shift_invariance(mathieu, gap1):

@@ -141,6 +141,11 @@ def test_config_validation():
     for margin in (0.5, 0.6):
         with pytest.raises(ValueError, match="gap_edge_margin"):
             ExperimentConfig(potential=zero, gap_edge_margin=margin)
+    # one window leaves a chain label without an error bar
+    one = WindowChain.geometric(25.0, 1.6, 1)
+    for name in ("x_chain", "xi_chain"):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(potential=zero, **{name: one})
     assert ExperimentConfig(potential=zero, max_gaps=0).max_gaps == 0
 
 

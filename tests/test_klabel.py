@@ -479,12 +479,14 @@ def test_pi_curves_empty_flow_is_zero(gap1):
 
 
 def test_pi_curves_is_bump_mean_of_lift(mathieu, gap1, flow_gap1_period):
-    # on a window whose ends are offsets of the flow's grid, the trapezoids
+    # on windows whose ends are offsets of the flow's grid, the trapezoids
     # over w' times the lift agree with adaptive quadrature of w times the
-    # lift's slope (integration by parts) on its linear interpolant
+    # lift's slope (integration by parts) on its linear interpolant; both
+    # labels are the last window's mean
     xis = flow_gap1_period.xi
     i, j = 3, len(xis) - 4
-    chain = WindowChain(((float(xis[i]), float(xis[j])),))
+    chain = WindowChain(((float(xis[i + 2]), float(xis[j - 2])),
+                         (float(xis[i]), float(xis[j]))))
     phi = dirichlet.beta(mathieu, gap1, chain, flow=flow_gap1_period).lift
     slopes = np.diff((np.sin(phi) - phi) / (2.0 * math.pi)) / np.diff(xis)
     pc = klabel.pi_curves(flow_gap1_period, gap1, chain)

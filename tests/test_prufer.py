@@ -82,13 +82,13 @@ def test_boundary_theta_increases_with_energy(mathieu, gap1):
 
 def test_count_zeros_free_interval():
     tr = prufer.integrate(ZERO, 1.0, 0.0, 0.0, 2.0 * math.pi, 0.0)
-    assert len(prufer.zeros(tr, 0.0, 2.0 * math.pi)) == 2
-    assert len(prufer.zeros(tr, 1.0, 1.0)) == 0
+    assert len(prufer.crossings(tr, 0.0, 2.0 * math.pi)) == 2
+    assert len(prufer.crossings(tr, 1.0, 1.0)) == 0
 
 
 def test_zeros_locations_free():
     tr = prufer.integrate(ZERO, 1.0, 0.0, 0.0, 2.0 * math.pi, 0.0)
-    zs = prufer.zeros(tr, 0.0, 2.0 * math.pi)
+    zs = prufer.crossings(tr, 0.0, 2.0 * math.pi)
     assert np.allclose(zs, [math.pi, 2.0 * math.pi], atol=1e-10)
 
 
@@ -98,7 +98,7 @@ def test_count_matches_free_closed_form(e):
     span = 20.0
     tr = prufer.integrate(ZERO, e, 0.0, 0.0, span, 0.0)
     expected = int(math.floor(math.sqrt(e) * span / math.pi + 1e-9))
-    assert len(prufer.zeros(tr, 0.0, span)) == expected
+    assert len(prufer.crossings(tr, 0.0, span)) == expected
 
 
 def test_zero_count_against_matrix_oracle_mid_band(mathieu):
@@ -108,7 +108,7 @@ def test_zero_count_against_matrix_oracle_mid_band(mathieu):
     band_hi = mathieu_gap_edges(1)[0]
     e = 0.5 * (band_lo + band_hi)
     tr = prufer.integrate(mathieu, e, 0.0, 0.0, 100.0, 0.0)
-    ours = len(prufer.zeros(tr, 0.0, 100.0))
+    ours = len(prufer.crossings(tr, 0.0, 100.0))
     oracle = lattice.fd_eigenvalue_count(mathieu, 0.0, 100.0, 0.0, e, 0.005)
     assert abs(ours - oracle) <= 1
 

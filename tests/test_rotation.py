@@ -28,8 +28,9 @@ def test_window_mean_is_last_value_with_last_change_as_bar():
 
 def test_window_mean_bar_is_rounding_level_on_flat_values():
     assert rotation.window_mean([1.0, 1.0, 1.0]).error_estimate == 1e-15
-    single = rotation.window_mean([0.7])
-    assert (single.extrapolated, single.error_estimate) == (0.7, 1e-15)
+    # one window has no change to measure: no bar at all, not a rounding one
+    with pytest.raises(ValueError, match="two or more windows"):
+        rotation.window_mean([0.7])
 
 
 def test_bump_mean_has_no_boundary_term():

@@ -193,5 +193,5 @@ def test_count_zeros_equals_eigenvalue_count(mathieu):
     # the box eigenvalue count, exactly
     for (a, b, e) in ((-9.0, 4.0, 1.3), (0.0, 17.0, -0.5), (-6.0, 6.0, 2.2)):
         tr = prufer.integrate(mathieu, e, 0.0, a, b, 0.0)
-        assert (len(prufer.zeros(tr, a, b))
+        assert (len(prufer.crossings(tr, a, b))
                 == spectrum.eigenvalue_count(mathieu, a, b, 0.0, e))
