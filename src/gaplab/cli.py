@@ -24,28 +24,42 @@ from .potentials import PotentialSpec
 USAGE_ERROR = 64   # sysexits EX_USAGE; argparse's own 2 is a failed verdict
 
 
-def _base_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig(potential=PotentialSpec.zero())
-    updates = {}
-    if getattr(args, "potential", None):
-        updates["potential"] = parse_potential_arg(args.potential)
-    for flag, attr in (("energy_min", "e_min"), ("energy_max", "e_max"),
-                       ("resolution", "resolution"), ("L", "L"), ("h", "h"),
-                       ("dxi", "dxi"), ("max_gaps", "max_gaps"),
-                       ("out", "out_dir")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            updates[attr] = val
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+# (flag, ExperimentConfig field, type, help) of the options that override
+# --config; each keeps argparse's dest, the flag without dashes
+CONFIG_FLAGS = (
+    ("--potential", "potential", None,
+     "'zero' or 'A,f,p[;A,f,p...]' cosine terms"),
+    ("--energy-min", "e_min", float, None),
+    ("--energy-max", "e_max", float, None),
+    ("--resolution", "resolution", float, None),
+    ("--L", "L", float, None),
+    ("--h", "h", float, None),
+    ("--dxi", "dxi", float, None),
+    ("--max-gaps", "max_gaps", int, None),
+    ("--out", "out_dir", None, "output directory"),
+)
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _base_config(args)
+def _config(args) -> ExperimentConfig:
+    """The --config file, or the zero potential's defaults, under the flags."""
+    cfg = (load_config(args.config) if args.config
+           else ExperimentConfig(potential=PotentialSpec.zero()))
+    updates = {attr: getattr(args, flag[2:].replace("-", "_"))
+               for flag, attr, _, _ in CONFIG_FLAGS}
+    updates = {k: v for k, v in updates.items() if v is not None}
+    if "potential" in updates:
+        updates["potential"] = parse_potential_arg(updates["potential"])
+    return replace(cfg, **updates)
+
+
+def _first_gap(cfg):
+    gaps = harness.detect_gaps(cfg)
+    if not gaps:
+        raise LookupError("no gap detected in the scan range")
+    return gaps[0]
+
+
+def cmd_spectrum(cfg, args) -> int:
     gaps = harness.detect_gaps(cfg)
     print(f"scan [{cfg.e_min}, {cfg.e_max}] resolution {cfg.resolution}: "
           f"{len(gaps)} gap(s)")
@@ -55,16 +69,14 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_ids(args) -> int:
-    cfg = _base_config(args)
+def cmd_ids(cfg, args) -> int:
     res = spectrum.ids(cfg.potential, args.energy, cfg.x_chain, args.xi)
     print(f"ids({args.energy}) = {res.value!r} +- {res.error_estimate:.2e} "
           f"(converged={res.converged})")
     return 0
 
 
-def cmd_rotation(args) -> int:
-    cfg = _base_config(args)
+def cmd_rotation(cfg, args) -> int:
     res = rotation.johnson_moser_alpha(cfg.potential, args.energy, args.xi,
                                        cfg.x_chain)
     print(f"alpha({args.energy}) = {res.value!r} +- {res.error_estimate:.2e} "
@@ -74,13 +86,8 @@ def cmd_rotation(args) -> int:
     return 0
 
 
-def cmd_flow(args) -> int:
-    cfg = _base_config(args)
-    gaps = harness.detect_gaps(cfg)
-    if not gaps:
-        print("no gap detected in the scan range")
-        return 1
-    gap = gaps[0]
+def cmd_flow(cfg, args) -> int:
+    gap = _first_gap(cfg)
     lo, hi = args.xi_range or cfg.xi_chain.largest
     curves = dirichlet.trace_flow(cfg.potential, gap, lo, hi, cfg.dxi, cfg.L,
                                   sides=(dirichlet.RIGHT, dirichlet.LEFT))
@@ -97,16 +104,10 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def cmd_klabel(args) -> int:
-    cfg = _base_config(args)
-    gaps = harness.detect_gaps(cfg)
-    if not gaps:
-        print("no gap detected in the scan range")
-        return 1
-    gap = gaps[0]
-    a_big, b_big = cfg.xi_chain.largest
-    flow = dirichlet.trace_flow(cfg.potential, gap, a_big, b_big, cfg.dxi,
-                                cfg.L, sides=(dirichlet.RIGHT,))
+def cmd_klabel(cfg, args) -> int:
+    gap = _first_gap(cfg)
+    flow = dirichlet.trace_flow(cfg.potential, gap, *cfg.xi_chain.largest,
+                                cfg.dxi, cfg.L, sides=(dirichlet.RIGHT,))
     pt, pc, bf = harness.edge_state_labels(cfg, gap, flow)
     print(f"gap ({gap.e_lower:.6f}, {gap.e_upper:.6f}):")
     print(f"  pi_trace       = {pt.value!r} +- {pt.error_estimate:.2e} "
@@ -117,22 +118,16 @@ def cmd_klabel(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _base_config(args)
+def cmd_report(cfg, args) -> int:
     reports = harness.run(cfg)
     print(json.dumps([r.to_dict() for r in reports], indent=2))
     if cfg.out_dir:
         print(f"artifacts written to {cfg.out_dir}", file=sys.stderr)
-    if not reports:
-        return 0
     return 0 if all(r.all_pass for r in reports) else 2
 
 
-def cmd_converge(args) -> int:
-    cfg = _base_config(args)
-    values = None
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
+def cmd_converge(cfg, args) -> int:
+    values = args.values and [float(v) for v in args.values.split(",")]
     rows = harness.convergence_study(cfg, args.parameter, values)
     for row in rows:
         print("  ".join(f"{k}={v!r}" for k, v in row.items()))
@@ -158,56 +153,31 @@ def build_parser() -> argparse.ArgumentParser:
                     help="log debug detail of every stage to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, energy=False):
+    def command(name, func, help_, energy=False):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="experiment config file (INI)")
-        p.add_argument("--potential",
-                       help="'zero' or 'A,f,p[;A,f,p...]' cosine terms")
-        p.add_argument("--energy-min", dest="energy_min", type=float)
-        p.add_argument("--energy-max", dest="energy_max", type=float)
-        p.add_argument("--resolution", type=float)
-        p.add_argument("--L", dest="L", type=float)
-        p.add_argument("--h", dest="h", type=float)
-        p.add_argument("--dxi", type=float)
-        p.add_argument("--max-gaps", dest="max_gaps", type=int)
-        p.add_argument("--out", help="output directory")
+        for flag, _, type_, flag_help in CONFIG_FLAGS:
+            p.add_argument(flag, type=type_, help=flag_help)
         if energy:
             p.add_argument("--energy", type=float, required=True)
             p.add_argument("--xi", type=float, default=0.0)
+        return p
 
-    p = sub.add_parser("spectrum", help="detect spectral gaps")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("ids", help="integrated density of states at E")
-    common(p, energy=True)
-    p.set_defaults(func=cmd_ids)
-
-    p = sub.add_parser("rotation", help="phase rotation number at E")
-    common(p, energy=True)
-    p.set_defaults(func=cmd_rotation)
-
-    p = sub.add_parser("flow", help="Dirichlet-value flow in the first gap")
-    common(p)
-    p.add_argument("--xi-range", dest="xi_range", metavar="LO:HI",
-                   type=_xi_range,
+    command("spectrum", cmd_spectrum, "detect spectral gaps")
+    command("ids", cmd_ids, "integrated density of states at E", energy=True)
+    command("rotation", cmd_rotation, "phase rotation number at E",
+            energy=True)
+    p = command("flow", cmd_flow, "Dirichlet-value flow in the first gap")
+    p.add_argument("--xi-range", metavar="LO:HI", type=_xi_range,
                    help="offset sweep; write --xi-range=LO:HI, since a "
                    "negative LO read apart is taken for an option")
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("klabel", help="edge-state trace labels, first gap")
-    common(p)
-    p.set_defaults(func=cmd_klabel)
-
-    p = sub.add_parser("report", help="full run with verdicts and artifacts")
-    common(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("converge", help="convergence sweep of one control")
-    common(p)
+    command("klabel", cmd_klabel, "edge-state trace labels, first gap")
+    command("report", cmd_report, "full run with verdicts and artifacts")
+    p = command("converge", cmd_converge, "convergence sweep of one control")
     p.add_argument("--parameter", required=True,
                    choices=["L", "h", "dxi", "chain"])
     p.add_argument("--values", help="comma-separated sweep values")
-    p.set_defaults(func=cmd_converge)
     return ap
 
 
@@ -222,7 +192,7 @@ def main(argv=None) -> int:
         log.addHandler(handler)
         log.setLevel(logging.DEBUG)
     try:
-        return args.func(args)
+        return args.func(_config(args), args)
     except Exception as exc:  # surfacing errors as exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -121,7 +121,7 @@ def _scan_theta(spec, energies, offsets, L, side, rtol, landing=0.0):
     mirror = np.asarray(side) == LEFT
     seeds = prufer.seed_decaying_left(spec, energies, offsets, L, mirror)
     return prufer.theta_grid(spec, energies, offsets, -L, landing, seeds,
-                             rtol=rtol, atol=rtol * 1e-2, mirror=mirror)
+                             rtol=rtol, mirror=mirror)
 
 
 def _interpolant(nodes, values, kept, rows):
@@ -597,8 +597,7 @@ def interlacing_check(spec: PotentialSpec, gap: Gap, mu: float, xi_range,
 
     tr = prufer.integrate(spec, mu, xi_lo, -L, xi_hi - xi_lo,
                           prufer.seed_decaying_left(spec, mu, xi_lo, L),
-                          rtol=1e-12, atol_theta=1e-14, atol_logr=1e-14,
-                          max_step=0.01)
+                          rtol=1e-12, max_step=0.01)
     zs = prufer.crossings(tr, 0.0, xi_hi - xi_lo) + xi_lo
     zero_dev = (float(np.max(np.abs(zs - s), initial=0.0))
                 if len(zs) == len(s) else math.inf)

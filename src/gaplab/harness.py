@@ -41,6 +41,16 @@ NAMED_EQUALITIES = (
 )
 
 
+# the keys of each INI section; those of scan and numerics name the scalar
+# ExperimentConfig fields
+INI_KEYS = {"potential": ("kind", "terms"), "output": ("dir",),
+            "scan": ("e_min", "e_max", "resolution"),
+            "chain_x": ("half_width", "ratio", "count"),
+            "chain_xi": ("half_width", "ratio", "count"),
+            "numerics": ("L", "h", "dxi", "gap_edge_margin", "mass_threshold",
+                         "trace_window_halfwidth", "max_gaps")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     potential: PotentialSpec
@@ -63,14 +73,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("resolution", "L", "h", "dxi", "gap_edge_margin",
                      "mass_threshold", "trace_window_halfwidth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.e_max > self.e_min:
-            raise ValueError("need e_min < e_max")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not -math.inf < self.e_min < self.e_max < math.inf:
+            raise ValueError("need finite e_min < e_max")
         if self.gap_edge_margin >= 0.5:
             raise ValueError("gap_edge_margin must be below 0.5, or the "
                              "trimmed gap is empty")
-        if self.max_gaps is not None and self.max_gaps < 0:
+        if self.max_gaps is not None and not self.max_gaps >= 0:
             raise ValueError("max_gaps must be non-negative")
         for name in ("x_chain", "xi_chain"):
             if len(getattr(self, name)) < 2:
@@ -78,18 +88,15 @@ class ExperimentConfig:
                                  "change between the last two is the error")
 
 
-def _parse_potential_text(kind: str, term_lines: str) -> PotentialSpec:
-    if kind.strip() == "zero":
-        return PotentialSpec.zero()
-    if kind.strip() != "cosine_sum":
-        raise ValueError(f"unknown potential kind {kind!r}")
+def _cosine_terms(chunks, sep) -> list:
+    """The (A, f, p) triple of each chunk, three numbers split at sep."""
     terms = []
-    for line in term_lines.strip().splitlines():
-        parts = line.split()
+    for chunk in chunks:
+        parts = chunk.split(sep)
         if len(parts) != 3:
-            raise ValueError(f"bad potential term line {line!r}")
+            raise ValueError(f"bad potential term {chunk!r}: want A, f, p")
         terms.append(tuple(float(p) for p in parts))
-    return PotentialSpec.cosine_sum(terms)
+    return terms
 
 
 def parse_potential_arg(text: str) -> PotentialSpec:
@@ -97,42 +104,38 @@ def parse_potential_arg(text: str) -> PotentialSpec:
     text = text.strip()
     if text == "zero":
         return PotentialSpec.zero()
-    terms = []
-    for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad potential term {chunk!r}; want A,f,p")
-        terms.append(tuple(float(p) for p in parts))
-    return PotentialSpec.cosine_sum(terms)
+    return PotentialSpec.cosine_sum(_cosine_terms(text.split(";"), ","))
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read the flat INI-style experiment file."""
+    """Read the flat INI-style experiment file; a section or key that
+    INI_KEYS does not list is an error, not ignored."""
     cp = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         cp.read_file(fh)
-    spec = _parse_potential_text(cp.get("potential", "kind"),
-                                 cp.get("potential", "terms", fallback=""))
-    kwargs = {"potential": spec}
-    if cp.has_section("scan"):
-        for key, attr in (("e_min", "e_min"), ("e_max", "e_max"),
-                          ("resolution", "resolution")):
-            if cp.has_option("scan", key):
-                kwargs[attr] = cp.getfloat("scan", key)
+    for section in cp.sections():
+        if section not in INI_KEYS:
+            raise ValueError(f"unknown INI section [{section}]")
+        unknown = set(cp[section]) - {k.lower() for k in INI_KEYS[section]}
+        if unknown:
+            raise ValueError(f"unknown key(s) {sorted(unknown)} in INI "
+                             f"section [{section}]")
+    kwargs = {"potential": PotentialSpec(
+        cp.get("potential", "kind").strip(),
+        _cosine_terms(cp.get("potential", "terms", fallback="").strip()
+                      .splitlines(), None))}
+    for section in ("scan", "numerics"):
+        for key in INI_KEYS[section]:
+            if cp.has_option(section, key):
+                get = cp.getint if key == "max_gaps" else cp.getfloat
+                kwargs[key] = get(section, key)
     for section, attr in (("chain_x", "x_chain"), ("chain_xi", "xi_chain")):
         if cp.has_section(section):
             kwargs[attr] = WindowChain.geometric(
                 half_width=cp.getfloat(section, "half_width"),
                 ratio=cp.getfloat(section, "ratio"),
                 count=cp.getint(section, "count"))
-    if cp.has_section("numerics"):
-        for key in ("L", "h", "dxi", "gap_edge_margin", "mass_threshold",
-                    "trace_window_halfwidth"):
-            if cp.has_option("numerics", key):
-                kwargs[key] = cp.getfloat("numerics", key)
-        if cp.has_option("numerics", "max_gaps"):
-            kwargs["max_gaps"] = cp.getint("numerics", "max_gaps")
-    if cp.has_section("output") and cp.has_option("output", "dir"):
+    if cp.has_option("output", "dir"):
         kwargs["out_dir"] = cp.get("output", "dir")
     return ExperimentConfig(**kwargs)
 

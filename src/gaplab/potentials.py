@@ -40,11 +40,10 @@ class PotentialSpec:
             raise ValueError("zero potential takes no terms")
         if self.kind == COSINE_SUM and not self.terms:
             raise ValueError("cosine_sum potential needs at least one term")
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((float(a), float(f), float(p)) for a, f, p in self.terms),
-        )
+        terms = tuple((float(a), float(f), float(p)) for a, f, p in self.terms)
+        if not all(math.isfinite(v) for term in terms for v in term):
+            raise ValueError(f"potential terms must be finite, got {terms}")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -191,8 +190,10 @@ class WindowChain:
     def geometric(cls, half_width: float = 25.0, ratio: float = 1.6,
                   count: int = 8, center: float = 0.0) -> "WindowChain":
         """Symmetric chain [center - c*r^n, center + c*r^n], n = 0..count-1."""
-        if half_width <= 0 or ratio <= 1.0 or count < 1:
-            raise ValueError("need half_width > 0, ratio > 1, count >= 1")
+        if not (0 < half_width < math.inf and 1 < ratio < math.inf
+                and count >= 1):
+            raise ValueError("need finite half_width > 0 and ratio > 1, and "
+                             f"count >= 1; got {half_width}, {ratio}, {count}")
         return cls(tuple(
             (center - half_width * ratio ** n, center + half_width * ratio ** n)
             for n in range(count)

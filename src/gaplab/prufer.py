@@ -67,7 +67,6 @@ _MAX_DTHETA = 0.95 * math.pi / 2  # lift-continuity guard per accepted step
 KAPPA_MIN = 1e-3
 
 DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-11
 
 # Which half-line problem a boundary phase belongs to (see boundary_data):
 # RIGHT gives the right Dirichlet values, LEFT the left ones.
@@ -213,8 +212,10 @@ def _where(energy, offset, mirror):
     return f" (E={energy}, xi={offset}, side={LEFT if mirror else RIGHT})"
 
 
-def _float_step(rhs, rtol, atol_theta, atol_logr):
-    """Trial step of the plain-float path: theta and log r both count."""
+def _float_step(rhs, rtol):
+    """Trial step of the plain-float path: theta and log r both count, each
+    with the error floor rtol * 1e-2."""
+    atol = rtol * 1e-2
     def step(x, h, th, cr, k1):
         k1t, k1c = k1
         k2t, k2c = rhs(x + h * _C2, th + h * _A21 * k1t)
@@ -228,8 +229,8 @@ def _float_step(rhs, rtol, atol_theta, atol_logr):
         err_t = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t)
         cr_new = cr + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B6 * k6c)
         err_c = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c)
-        sc_t = atol_theta + rtol * max(abs(th), abs(th_new))
-        sc_r = atol_logr + rtol * max(abs(cr), abs(cr_new))
+        sc_t = atol + rtol * max(abs(th), abs(th_new))
+        sc_r = atol + rtol * max(abs(cr), abs(cr_new))
         err = (max(abs(err_t) / sc_t, abs(err_c) / sc_r) if sc_t and sc_r
                else math.inf)   # a zero scale rejects, as on the numpy path
         return th_new, cr_new, err, abs(th_new - th)
@@ -237,15 +238,16 @@ def _float_step(rhs, rtol, atol_theta, atol_logr):
     return step
 
 
-def _vector_step(v, e1, rtol, atol):
+def _vector_step(v, e1, rtol):
     """Trial step of the numpy path, theta' = 1 + q, q = (E - 1 - V) sin^2
     theta, for components e1 = E - 1 and potential v (offset_evaluator),
-    with theta alone in the error control.  One array holds theta, ones and
-    the six stages' q, so each stage argument, and theta, error and change
-    at the end, is one product of h-scaled _TABLEAU rows with it.  Returns
-    the step and the scaled errors of its last trial.
+    with theta alone in the error control, at the float path's floor
+    rtol * 1e-2.  One array holds theta, ones and the six stages' q, so each
+    stage argument, and theta, error and change at the end, is one product
+    of h-scaled _TABLEAU rows with it.  Returns the step and the scaled
+    errors of its last trial.
     """
-    n = e1.size
+    n, atol = e1.size, rtol * 1e-2
     e1 = np.tile(e1, (6, 1))
     rows = np.empty((8, n))
     rows[1] = 1.0
@@ -279,23 +281,22 @@ def _vector_step(v, e1, rtol, atol):
 
 def integrate(spec: PotentialSpec, energy: float, offset: float,
               x_start: float, x_end: float, theta_start: float, *,
-              rtol: float = DEFAULT_RTOL, atol_theta: float = DEFAULT_ATOL,
-              atol_logr: float = DEFAULT_ATOL, max_step: float = 2.0,
+              rtol: float = DEFAULT_RTOL, max_step: float = 2.0,
               mirror: bool = False) -> SolutionTrace:
     """Integrate the phase-amplitude system from x_start to x_end.
 
     Works in either direction.  The returned lift is continuous by
     construction (the angle is integrated on the line, never reduced mod pi),
     and a step is rejected whenever it would move theta by more than pi/2.
-    Both theta and log r enter the error control.  mirror: V(-x + offset).
+    Both theta and log r enter the error control, each with the absolute
+    floor rtol * 1e-2.  mirror: V(-x + offset).
     """
     rhs = _theta_rhs_scalar(
         potentials.scalar_evaluator(spec, offset, mirror), energy)
     nodes = []
-    _cash_karp(_float_step(rhs, rtol, atol_theta, atol_logr), x_start, x_end,
-               float(theta_start), 0.0, max_step=max_step, slope=rhs,
-               record=nodes.append, context=lambda: _where(energy, offset,
-                                                            mirror))
+    _cash_karp(_float_step(rhs, rtol), x_start, x_end, float(theta_start),
+               0.0, max_step=max_step, slope=rhs, record=nodes.append,
+               context=lambda: _where(energy, offset, mirror))
     xs, thetas, log_amplitudes, dthetas = (np.array(c) for c in zip(*nodes))
     return SolutionTrace(
         potential=spec, energy=energy, offset=offset,
@@ -305,20 +306,21 @@ def integrate(spec: PotentialSpec, energy: float, offset: float,
 
 def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
                x_end, theta_start, *,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-               max_step: float = 2.0, mirror=False) -> np.ndarray:
+               rtol: float = DEFAULT_RTOL, max_step: float = 2.0,
+               mirror=False) -> np.ndarray:
     """Endpoint theta lift for a whole grid of (E, xi) components at once.
 
     energies, offsets, theta_start and mirror broadcast against each other
     (a component with mirror set sees V(-x + xi)); all components share the
     adaptive steps (the controller uses the worst component) and only theta
-    enters the error control.  Returns theta(x_end) with the broadcast
-    shape.  x_end may also be a 1-d array of landing points, strictly
-    monotone in the direction of integration; the result then has a leading
-    axis over them.  A grid of one component runs integrate's plain-float
-    path instead, with log r carried and controlled as there (atol for
-    both): faster than the numpy step at width one (a median 6.4 times over
-    15 paired 30-unit passes), and bit-identical to integrate's endpoint.
+    enters the error control, with integrate's floor rtol * 1e-2.  Returns
+    theta(x_end) with the broadcast shape.  x_end may also be a 1-d array of
+    landing points, strictly monotone in the direction of integration; the
+    result then has a leading axis over them.  A grid of one component runs
+    integrate's plain-float path instead, with log r carried and controlled
+    as there: faster than the numpy step at width one (a median 6.4 times
+    over 15 paired 30-unit passes), and bit-identical to integrate's
+    endpoint.
     A step underflow names the component with the largest scaled error.
 
     The numpy step (_vector_step) evaluates V(x + xi) at its six stage
@@ -335,13 +337,13 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     if E.size == 1:
         e, x, t, m = float(E[0]), float(xi[0]), float(th0[0]), bool(mr[0])
         rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x, m), e)
-        th, _ = _cash_karp(_float_step(rhs, rtol, atol, atol), x_start,
-                           x_end, t, 0.0, max_step=max_step, slope=rhs,
+        th, _ = _cash_karp(_float_step(rhs, rtol), x_start, x_end, t, 0.0,
+                           max_step=max_step, slope=rhs,
                            context=lambda: _where(e, x, m))
         return np.reshape(th, out_shape)
 
     step, scaled = _vector_step(potentials.offset_evaluator(spec, xi, mr),
-                                E - 1.0, rtol, atol)
+                                E - 1.0, rtol)
 
     def context():   # the component with the largest scaled error
         i = np.argmax(np.nan_to_num(scaled, nan=-1.0))
@@ -510,8 +512,7 @@ def boundary_data(spec: PotentialSpec, energy: float, offset: float, L: float,
     """
     tr = integrate(spec, energy, offset, -L, 0.0,
                    seed_decaying_left(spec, energy, offset, L, side == LEFT),
-                   rtol=rtol, atol_theta=rtol * 1e-2, atol_logr=rtol * 1e-2,
-                   max_step=max_step, mirror=side == LEFT)
+                   rtol=rtol, max_step=max_step, mirror=side == LEFT)
     lr = tr.log_amplitudes
     lmax = float(np.max(lr))
     weight = np.exp(2.0 * (lr - lmax)) * np.sin(tr.thetas) ** 2

@@ -154,9 +154,7 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
     a_big, b_big = chain.largest
     x0 = a_big - pad
     seed = prufer.seed_decaying_left(spec, energy, xi, -x0 if x0 < 0 else pad)
-    trace = prufer.integrate(spec, energy, xi, x0, b_big, seed,
-                             rtol=rtol, atol_theta=rtol * 1e-2,
-                             atol_logr=rtol * 1e-2)
+    trace = prufer.integrate(spec, energy, xi, x0, b_big, seed, rtol=rtol)
 
     lift_mean = _slope_means(lambda x: trace.theta_at(x) / math.pi, chain)
     zs = prufer.crossings(trace, a_big, b_big)

@@ -60,8 +60,7 @@ def _theta_end(spec: PotentialSpec, a: float, b: float, xi: float,
     theta alone, move box eigenvalues by several times their tolerance and
     flip the counts that edge refinement decides on.
     """
-    return np.array([prufer.theta_grid(spec, e, xi, a, b, 0.0, rtol=rtol,
-                                       atol=rtol * 1e-2)
+    return np.array([prufer.theta_grid(spec, e, xi, a, b, 0.0, rtol=rtol)
                      for e in np.ravel(energies)]).reshape(np.shape(energies))
 
 
@@ -78,7 +77,7 @@ def counts_grid(spec: PotentialSpec, a: float, b: float, xi: float,
                 energies, *, rtol: float = 1e-6) -> np.ndarray:
     """Vectorized eigenvalue counts for a whole energy grid (one ODE pass)."""
     th = prufer.theta_grid(spec, np.asarray(energies, dtype=float), xi,
-                           a, b, 0.0, rtol=rtol, atol=rtol * 1e-2)
+                           a, b, 0.0, rtol=rtol)
     return np.floor(th / math.pi + 1e-12).astype(int)
 
 

@@ -213,6 +213,20 @@ def test_mu_tilde_unit_modulus(mathieu, gap1):
     assert abs(abs(z) - 1.0) < 1e-12
 
 
+def test_mu_tilde_two_sided_matches_phase_lift(mathieu, gap1):
+    # at xi 1.3 gap 1 holds one left value and no right one, so the
+    # two-sided point is not the right-only one
+    z = dirichlet.mu_tilde(mathieu, gap1, 1.3, 30.0, variant="two_sided")
+    assert abs(abs(z) - 1.0) < 1e-12
+    flow = dirichlet.trace_flow(mathieu, gap1, 1.0, 1.6, 0.1, 30.0,
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
+    k = int(np.argmin(np.abs(flow.xi - 1.3)))
+    assert flow.xi[k] == pytest.approx(1.3, abs=1e-12)
+    phi = dirichlet.phase_lift(flow, "two_sided")[k]
+    assert abs(cmath.phase(z * cmath.exp(-1j * phi))) < 1e-6
+    assert abs(cmath.phase(z)) > 0.1
+
+
 def test_phase_lift_continuity_across_exit(flow_gap1_period, gap1):
     # the lift stays continuous while the curve leaves through the lower
     # edge: mu -> E0 contributes vanishing phase.  The minimal-jump unwrap
@@ -422,7 +436,7 @@ def test_mirrored_left_values_match_backward_pass():
         return prufer.theta_grid(spec, e, xi[rows], L, 0.0,
                                  prufer.seed_decaying_right(spec, e, xi[rows],
                                                             L),
-                                 rtol=1e-11, atol=1e-13)
+                                 rtol=1e-11)
 
     target = np.round(backward(mu) / math.pi) * math.pi
     ref = prufer.bisect(backward, mu + 1e-6, mu - 1e-6, target, 1e-11)

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import math
 import os
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from gaplab import dirichlet, harness
-from gaplab.cli import USAGE_ERROR, main
+from gaplab.cli import USAGE_ERROR, build_parser, main
 from gaplab.harness import ExperimentConfig, load_config, parse_potential_arg
 from gaplab.potentials import PotentialSpec, WindowChain
 
@@ -149,6 +152,74 @@ def test_config_validation():
     assert ExperimentConfig(potential=zero, max_gaps=0).max_gaps == 0
 
 
+def test_config_rejects_non_finite_values():
+    # with a NaN mass_threshold no edge state is kept, and pi_trace read
+    # 0.0 on gap 1 of 2cos x, where the label is 1/(2 pi)
+    zero = PotentialSpec.zero()
+    for name, value in (("mass_threshold", math.nan), ("L", math.nan),
+                        ("resolution", math.inf), ("e_max", math.inf),
+                        ("e_min", -math.inf), ("dxi", math.nan),
+                        ("max_gaps", math.nan)):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(potential=zero, **{name: value})
+
+
+@pytest.mark.parametrize("section, line, unknown", [
+    ("[numerics]", "dxl = 0.05", "dxl"),     # was read as dxi 0.1
+    ("[sacn]", "e_min = 5", "[sacn]"),       # was read as e_min -2
+    ("[chain_x]", "cont = 3", "cont"),
+    ("[output]", "directory = results", "directory"),
+])
+def test_load_config_rejects_unknown_section_or_key(tmp_path, section, line,
+                                                    unknown):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[potential]\nkind = zero\n\n{section}\n{line}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(unknown)):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("kind, terms", [
+    ("sine", "1.0 0.5 0.0"),          # unknown kind
+    ("cosine_sum", "1.0 0.5"),        # a term of two numbers
+    ("cosine_sum", ""),               # no terms
+    ("cosine_sum", "zero"),           # the CLI's word for V = 0
+    ("cosine_sum", "1.0,0.5,0.0"),    # the CLI's separator
+])
+def test_load_config_rejects_bad_potential(tmp_path, kind, terms):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[potential]\nkind = {kind}\nterms =\n    {terms}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_config(str(path))
+
+
+def test_readme_examples(monkeypatch, tmp_path, capsys):
+    # the README's INI block is the config of scripts/run_mathieu.py, and
+    # every gaplab line of its CLI block parses
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    ini = tmp_path / "readme.ini"
+    ini.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1),
+                   encoding="utf-8")
+    built = []
+    monkeypatch.setattr(harness, "run", lambda cfg: built.append(cfg) or [])
+    spec = importlib.util.spec_from_file_location(
+        "run_mathieu", root / "scripts" / "run_mathieu.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main("out") == 0
+    assert load_config(str(ini)) == built[0]
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("gaplab ")]
+    assert len(commands) == 7
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.func.__name__ == f"cmd_{argv[0]}"
+
+
 def test_zero_potential_report_is_empty():
     cfg = ExperimentConfig(potential=PotentialSpec.zero(), e_min=0.0,
                            e_max=4.0, resolution=0.05,
@@ -252,6 +323,10 @@ def test_cli_error_paths(capsys):
     capsys.readouterr()
     assert main(["flow", "--potential", "zero", "--energy-min", "0",
                  "--energy-max", "4"]) == 1
+    assert "error: no gap detected" in capsys.readouterr().err
+    assert main(["klabel", "--potential", "zero", "--energy-min", "0",
+                 "--energy-max", "4"]) == 1
+    assert "error: no gap detected" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -331,6 +406,21 @@ def test_cli_flow_xi_range_is_parsed_before_any_work(monkeypatch, capsys):
         assert main(["flow", "--potential", "zero",
                      f"--xi-range={text}"]) == USAGE_ERROR
         assert "argument --xi-range" in capsys.readouterr().err
+
+
+def test_cli_non_finite_flag_is_refused_before_any_work(monkeypatch,
+                                                        capsys):
+    # --L nan used to fail only after the whole gap scan
+    def no_scan(config):
+        raise AssertionError("the gap scan ran")
+
+    monkeypatch.setattr(harness, "detect_gaps", no_scan)
+    for flag, message in (("--L", "L must be positive and finite"),
+                          ("--h", "h must be positive and finite"),
+                          ("--resolution", "resolution must be positive"),
+                          ("--energy-max", "need finite e_min < e_max")):
+        assert main(["klabel", "--potential", "zero", flag, "nan"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_klabel_labels(capsys, tmp_path):

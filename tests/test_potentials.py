@@ -152,3 +152,15 @@ def test_chain_validation_rejects_non_nested():
         WindowChain(((1.0, 1.0),))
     with pytest.raises(ValueError):
         WindowChain(())
+
+
+def test_non_finite_terms_and_chain_parameters_are_rejected():
+    for bad in ((math.nan, 1.0, 0.0), (2.0, math.inf, 0.0),
+                (2.0, 1.0, -math.inf)):
+        with pytest.raises(ValueError, match="terms"):
+            PotentialSpec.cosine_sum([(1.0, 0.5, 0.0), bad])
+    # an infinite half-width or ratio gave the window (-inf, inf)
+    for half, ratio in ((math.inf, 1.6), (25.0, math.inf), (math.nan, 1.6),
+                        (25.0, math.nan)):
+        with pytest.raises(ValueError, match="half_width"):
+            WindowChain.geometric(half, ratio, 4)

@@ -127,19 +127,18 @@ def test_theta_grid_matches_scalar_path(mathieu):
     for spec, xi, mirror, x_start, ends in cases:
         x_end = ends[0] if len(ends) == 1 else np.array(ends)
         th_vec = prufer.theta_grid(spec, es, xi, x_start, x_end, 0.4,
-                                   rtol=1e-10, atol=1e-12, mirror=mirror)
+                                   rtol=1e-10, mirror=mirror)
         th_vec = th_vec.reshape(len(ends), -1)
         components = zip(*(np.ravel(c).tolist()
                            for c in np.broadcast_arrays(es, xi, mirror)))
         for c, (e, x, m) in enumerate(components):
             for k, end in enumerate(ends):
                 tr = prufer.integrate(spec, e, x, x_start, end, 0.4,
-                                      rtol=1e-10, atol_theta=1e-12,
-                                      atol_logr=1e-12, mirror=m)
+                                      rtol=1e-10, mirror=m)
                 assert th_vec[k, c] == pytest.approx(tr.thetas[-1], abs=1e-7)
                 # width one runs integrate's float path: the same endpoint
                 th_one = prufer.theta_grid(spec, [e], x, x_start, end, 0.4,
-                                           rtol=1e-10, atol=1e-12, mirror=m)
+                                           rtol=1e-10, mirror=m)
                 assert th_one.shape == (1,)
                 assert th_one[0] == tr.thetas[-1]
 
@@ -153,7 +152,7 @@ def test_theta_grid_underflow_names_component():
             prufer.StiffnessError, match=r"^step underflow at x=-1 "
             r"\(E=3\.0, xi=0\.5, side=left\)$"):
         prufer.theta_grid(ZERO, [1.0, 3.0], 0.5, -1.0, 1.0, 0.3, rtol=0.0,
-                          atol=0.0, mirror=[False, True])
+                          mirror=[False, True])
 
 
 def test_float_path_underflow_at_zero_tolerance():
@@ -161,7 +160,7 @@ def test_float_path_underflow_at_zero_tolerance():
     # every step as the numpy path does, not with a division by zero
     with pytest.raises(prufer.StiffnessError, match=r"^step underflow at "
                        r"x=-1 \(E=3\.0, xi=0\.5, side=right\)$"):
-        prufer.theta_grid(ZERO, 3.0, 0.5, -1.0, 1.0, 0.3, rtol=0.0, atol=0.0)
+        prufer.theta_grid(ZERO, 3.0, 0.5, -1.0, 1.0, 0.3, rtol=0.0)
 
 
 def test_bisect_mirrored_bracket_matches_ordered(mathieu, gap1):

@@ -51,9 +51,8 @@ def test_mathieu_box_eigenvalues_against_matrix_oracle(mathieu):
 def _scalar_dirichlet_eigenvalues(spec, a, b, xi, e_min, e_max, tol, rtol):
     """Reference: one scalar bisection per eigenvalue on integrate's phase."""
     def theta_end(e):
-        return prufer.integrate(spec, e, xi, a, b, 0.0, rtol=rtol,
-                                atol_theta=rtol * 1e-2,
-                                atol_logr=rtol * 1e-2).thetas[-1]
+        return prufer.integrate(spec, e, xi, a, b, 0.0,
+                                rtol=rtol).thetas[-1]
 
     t_lo, t_hi = theta_end(e_min), theta_end(e_max)
     roots = []
