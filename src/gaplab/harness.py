@@ -72,9 +72,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("resolution", "L", "h", "dxi", "gap_edge_margin",
-                     "mass_threshold", "trace_window_halfwidth"):
+                     "trace_window_halfwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.mass_threshold < 1:   # a fraction of a state's mass
+            raise ValueError("mass_threshold must lie in (0, 1)")
         if not -math.inf < self.e_min < self.e_max < math.inf:
             raise ValueError("need finite e_min < e_max")
         if self.gap_edge_margin >= 0.5:
@@ -110,7 +112,7 @@ def parse_potential_arg(text: str) -> PotentialSpec:
 def load_config(path: str) -> ExperimentConfig:
     """Read the flat INI-style experiment file; a section or key that
     INI_KEYS does not list is an error, not ignored."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
         cp.read_file(fh)
     for section in cp.sections():

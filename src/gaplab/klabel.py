@@ -137,6 +137,8 @@ def edge_projector(op: HalflineOperator, gap: Gap,
     offset, and bisects the states they miss; eigh_tridiagonal solves only
     the nodes it does not certify.
     """
+    if not 0 < mass_threshold < 1:   # else every state or none is kept
+        raise ValueError("mass_threshold must lie in (0, 1)")
     w, v, work, bisected = _continue(op, gap, start)
     if cold := w is None:
         _, v = eigh_tridiagonal(op.diag, op.offdiag, select="v",

@@ -17,11 +17,13 @@ log r and storing the accepted nodes for interpolation; `theta_grid` runs it
 with a stacked numpy step for a whole grid of (E, xi) components with shared
 adaptive steps, or on plain floats when the grid has one component.  A
 pass can land on a monotone array of points on its way, returning theta at
-each, and carries theta modulo pi between them, so the error control does
-not loosen along a long pass.  Every question of the form "where does theta
-cross a target" is answered by the one vectorized bracketed search
-`bisect`: ITP steps, or Newton steps from stencils when one pass evaluates
-all points.
+each.  Every question of the form "where does theta cross a target" is
+answered by the one vectorized bracketed search `bisect`: ITP steps, or
+Newton steps from stencils when one pass evaluates all points.
+
+Every label is read off floor(theta / pi), so on every path the error
+control holds theta's absolute error alone: rtol is the error of theta
+allowed per step, in units of pi.  log r, which no count reads, is carried.
 """
 
 from __future__ import annotations
@@ -132,27 +134,26 @@ def _theta_rhs_scalar(v_of_x, energy):
     return rhs
 
 
-def _cash_karp(step, x_start, x_end, theta, carried=None, *, max_step,
-               slope=None, record=None, context=lambda: ""):
+def _cash_karp(step, x_start, x_end, theta, carried=None, *, rtol,
+               max_step, slope=None, record=None, context=lambda: ""):
     """Advance theta from x_start to x_end by adaptive Cash-Karp 5(4) steps.
 
     Works on floats and numpy arrays alike, in either direction.
     step(x, h, theta, carried, k1) makes one trial step of length h and
-    returns (theta, carried) at its end, the scaled error, accepted at <= 1,
-    and the largest phase change; a change of _MAX_DTHETA or more rejects
-    the step, which keeps the lift continuous.  `carried` is a quantity the
-    right-hand side does not read (log r), or None.  slope(x, theta), if
-    given, returns k1 = (theta', carried') at the start and at each accepted
-    node, where record, if given, receives (x, theta, carried, theta');
-    else k1 is None.  context() ends the message of a step underflow.
-    Returns theta and carried at x_end.
+    returns (theta, carried) at its end, theta's absolute error, the largest
+    over components, and the largest phase change.  A step is accepted where
+    the error is at most rtol * pi, so rtol 0 rejects every step, and the
+    change below _MAX_DTHETA, which keeps the lift continuous.  `carried` is
+    a quantity the right-hand side does not read (log r), or None.
+    slope(x, theta), if given, returns k1 = (theta', carried') at the start
+    and at each accepted node, where record, if given, receives
+    (x, theta, carried, theta'); else k1 is None.  context() ends the
+    message of a step underflow.  Returns theta and carried at x_end.
 
     x_end may instead be a 1-d array of landing points, strictly monotone in
     the direction of integration: the steps then land exactly on each of
     them, and the first return value stacks theta at every landing point
-    along a new leading axis.  Between landing points theta is carried
-    modulo pi, with the multiples of pi kept aside, so that an error norm
-    relative to |theta| does not loosen as the lift grows along a long pass.
+    along a new leading axis.
     """
     ends = np.ravel(x_end)
     span = ends[-1] - x_start
@@ -160,6 +161,7 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, max_step,
         raise ValueError("x_start and x_end must differ")
     sgn = 1.0 if span > 0 else -1.0
     h_min = 1e-13 * abs(span) + 1e-300
+    tol = rtol * math.pi
 
     x = x_start
     th, cr = theta, carried
@@ -168,7 +170,6 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, max_step,
         record((x, th, cr, k1[0]))
     h = sgn * min(0.02, max_step)
     landed = []
-    lift = 0.0  # the multiples of pi set aside
     target = ends[0]
     while True:
         if abs(h) > max_step:
@@ -180,6 +181,7 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, max_step,
         if last:
             h = target - x
         th_new, cr_new, err, dth_step = step(x, h, th, cr, k1)
+        err = err / tol if tol else math.inf
         fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if dth_step >= _MAX_DTHETA:
             fac = min(fac, 0.5)
@@ -187,12 +189,9 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, max_step,
             x = target if last else x + h
             th, cr = th_new, cr_new
             if last:
-                landed.append(th + lift)
+                landed.append(th)
                 if len(landed) < len(ends):
                     target = ends[len(landed)]
-                    folds = np.floor(th / math.pi)
-                    lift = lift + folds * math.pi
-                    th = th - folds * math.pi
                     # the landing step was cut short; go on with the step
                     # proposed before the cut
                     h, fac = h_free, 1.0
@@ -212,49 +211,42 @@ def _where(energy, offset, mirror):
     return f" (E={energy}, xi={offset}, side={LEFT if mirror else RIGHT})"
 
 
-def _float_step(rhs, rtol):
-    """Trial step of the plain-float path: theta and log r both count, each
-    with the error floor rtol * 1e-2."""
-    atol = rtol * 1e-2
+def _float_step(rhs):
+    """Trial step of the plain-float path: log r is carried, theta's error
+    returned."""
     def step(x, h, th, cr, k1):
         k1t, k1c = k1
         k2t, k2c = rhs(x + h * _C2, th + h * _A21 * k1t)
         k3t, k3c = rhs(x + h * _C3, th + h * (_A31 * k1t + _A32 * k2t))
         k4t, k4c = rhs(x + h * _C4, th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t))
-        k5t, k5c = rhs(x + h * _C5, th + h * (_A51 * k1t + _A52 * k2t
-                                              + _A53 * k3t + _A54 * k4t))
+        k5t, _ = rhs(x + h * _C5, th + h * (_A51 * k1t + _A52 * k2t
+                                            + _A53 * k3t + _A54 * k4t))
         k6t, k6c = rhs(x + h * _C6, th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t
                                               + _A64 * k4t + _A65 * k5t))
         th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B6 * k6t)
-        err_t = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t)
+        err = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t)
         cr_new = cr + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B6 * k6c)
-        err_c = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c)
-        sc_t = atol + rtol * max(abs(th), abs(th_new))
-        sc_r = atol + rtol * max(abs(cr), abs(cr_new))
-        err = (max(abs(err_t) / sc_t, abs(err_c) / sc_r) if sc_t and sc_r
-               else math.inf)   # a zero scale rejects, as on the numpy path
-        return th_new, cr_new, err, abs(th_new - th)
+        return th_new, cr_new, abs(err), abs(th_new - th)
 
     return step
 
 
-def _vector_step(v, e1, rtol):
+def _vector_step(v, e1):
     """Trial step of the numpy path, theta' = 1 + q, q = (E - 1 - V) sin^2
-    theta, for components e1 = E - 1 and potential v (offset_evaluator),
-    with theta alone in the error control, at the float path's floor
-    rtol * 1e-2.  One array holds theta, ones and the six stages' q, so each
-    stage argument, and theta, error and change at the end, is one product
-    of h-scaled _TABLEAU rows with it.  Returns the step and the scaled
-    errors of its last trial.
+    theta, for components e1 = E - 1 and potential v (offset_evaluator).
+    One array holds theta, ones and the six stages' q, so each stage
+    argument, and theta, error and change at the end, is one product of
+    h-scaled _TABLEAU rows with it.  Returns the step and the absolute
+    theta errors of its last trial.
     """
-    n, atol = e1.size, rtol * 1e-2
+    n = e1.size
     e1 = np.tile(e1, (6, 1))
     rows = np.empty((8, n))
     rows[1] = 1.0
     tab = np.empty_like(_TABLEAU)
     g = np.empty((6, n))
     arg = np.empty(n)
-    scaled = np.zeros(n)
+    mag = np.zeros((2, n))   # |error| and |change| of theta
     stages = [((tab[k - 1, :k + 2], rows[:k + 2]) if k else None, g[k],
                rows[k + 2]) for k in range(6)]
 
@@ -268,15 +260,10 @@ def _vector_step(v, e1, rtol):
             np.multiply(arg, arg, out=arg)
             np.multiply(arg, gk, out=q)
         out = np.dot(tab[5:], rows)   # theta at the end, error, change
-        mag = np.abs(out)
-        np.abs(th, out=scaled)
-        np.maximum(scaled, mag[0], out=scaled)
-        np.multiply(scaled, rtol, out=scaled)
-        np.add(scaled, atol, out=scaled)
-        np.divide(mag[1], scaled, out=scaled)
-        return out[0], None, float(scaled.max()), float(mag[2].max())
+        np.abs(out[1:], out=mag)
+        return out[0], None, float(mag[0].max()), float(mag[1].max())
 
-    return step, scaled
+    return step, mag[0]
 
 
 def integrate(spec: PotentialSpec, energy: float, offset: float,
@@ -288,14 +275,14 @@ def integrate(spec: PotentialSpec, energy: float, offset: float,
     Works in either direction.  The returned lift is continuous by
     construction (the angle is integrated on the line, never reduced mod pi),
     and a step is rejected whenever it would move theta by more than pi/2.
-    Both theta and log r enter the error control, each with the absolute
-    floor rtol * 1e-2.  mirror: V(-x + offset).
+    theta alone enters the error control, at rtol * pi per step; log r is
+    carried along.  mirror: V(-x + offset).
     """
     rhs = _theta_rhs_scalar(
         potentials.scalar_evaluator(spec, offset, mirror), energy)
     nodes = []
-    _cash_karp(_float_step(rhs, rtol), x_start, x_end, float(theta_start),
-               0.0, max_step=max_step, slope=rhs, record=nodes.append,
+    _cash_karp(_float_step(rhs), x_start, x_end, float(theta_start), 0.0,
+               rtol=rtol, max_step=max_step, slope=rhs, record=nodes.append,
                context=lambda: _where(energy, offset, mirror))
     xs, thetas, log_amplitudes, dthetas = (np.array(c) for c in zip(*nodes))
     return SolutionTrace(
@@ -312,16 +299,15 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
 
     energies, offsets, theta_start and mirror broadcast against each other
     (a component with mirror set sees V(-x + xi)); all components share the
-    adaptive steps (the controller uses the worst component) and only theta
-    enters the error control, with integrate's floor rtol * 1e-2.  Returns
+    adaptive steps (the controller uses the worst component) and theta's
+    error is held to rtol * pi per step, as in integrate.  Returns
     theta(x_end) with the broadcast shape.  x_end may also be a 1-d array of
     landing points, strictly monotone in the direction of integration; the
     result then has a leading axis over them.  A grid of one component runs
-    integrate's plain-float path instead, with log r carried and controlled
-    as there: faster than the numpy step at width one (a median 6.4 times
-    over 15 paired 30-unit passes), and bit-identical to integrate's
-    endpoint.
-    A step underflow names the component with the largest scaled error.
+    integrate's plain-float path instead: faster than the numpy step at
+    width one (a median 6.4 times over 15 paired 30-unit passes), and
+    bit-identical to integrate's endpoint.
+    A step underflow names the component with the largest error.
 
     The numpy step (_vector_step) evaluates V(x + xi) at its six stage
     abscissae in one call, by angle addition (potentials.offset_evaluator),
@@ -337,20 +323,20 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     if E.size == 1:
         e, x, t, m = float(E[0]), float(xi[0]), float(th0[0]), bool(mr[0])
         rhs = _theta_rhs_scalar(potentials.scalar_evaluator(spec, x, m), e)
-        th, _ = _cash_karp(_float_step(rhs, rtol), x_start, x_end, t, 0.0,
-                           max_step=max_step, slope=rhs,
+        th, _ = _cash_karp(_float_step(rhs), x_start, x_end, t, 0.0,
+                           rtol=rtol, max_step=max_step, slope=rhs,
                            context=lambda: _where(e, x, m))
         return np.reshape(th, out_shape)
 
-    step, scaled = _vector_step(potentials.offset_evaluator(spec, xi, mr),
-                                E - 1.0, rtol)
+    step, err = _vector_step(potentials.offset_evaluator(spec, xi, mr),
+                             E - 1.0)
 
-    def context():   # the component with the largest scaled error
-        i = np.argmax(np.nan_to_num(scaled, nan=-1.0))
+    def context():   # the component with the largest error
+        i = np.argmax(np.nan_to_num(err, nan=-1.0))
         return _where(E[i], xi[i], mr[i])
 
-    th, _ = _cash_karp(step, x_start, x_end, th0, max_step=max_step,
-                       context=context)
+    th, _ = _cash_karp(step, x_start, x_end, th0, rtol=rtol,
+                       max_step=max_step, context=context)
     return th.reshape(out_shape)
 
 

@@ -144,6 +144,11 @@ def test_config_validation():
     for margin in (0.5, 0.6):
         with pytest.raises(ValueError, match="gap_edge_margin"):
             ExperimentConfig(potential=zero, gap_edge_margin=margin)
+    # a fraction of each state's mass: at 2.0 pi_trace kept no edge state
+    # and read 0.0 on gap 1 of 2cos x
+    for value in (math.nan, -1.0, 0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="mass_threshold"):
+            ExperimentConfig(potential=zero, mass_threshold=value)
     # one window leaves a chain label without an error bar
     one = WindowChain.geometric(25.0, 1.6, 1)
     for name in ("x_chain", "xi_chain"):
@@ -162,6 +167,14 @@ def test_config_rejects_non_finite_values():
                         ("max_gaps", math.nan)):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(potential=zero, **{name: value})
+
+
+def test_load_config_reads_percent_verbatim(tmp_path):
+    # configparser's default interpolation aborted the load on a '%'
+    path = tmp_path / "exp.ini"
+    path.write_text("[potential]\nkind = zero\n\n[output]\ndir = out_100%\n",
+                    encoding="utf-8")
+    assert load_config(str(path)).out_dir == "out_100%"
 
 
 @pytest.mark.parametrize("section, line, unknown", [
@@ -366,7 +379,7 @@ def test_cli_flow_writes_float_csv(capsys, tmp_path):
     out = tmp_path / "flow"
     assert main(["flow", "--config", str(ini), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("gap (-1.064903, 0.581355): 8 curves over xi in "
+    assert lines[0] == ("gap (-1.064904, 0.581356): 8 curves over xi in "
                         "[-10.4, 10.4]")
     spans = [line.split(" mu ")[0].split(": ", 1)[1] for line in lines[1:9]]
     assert spans == [
@@ -432,8 +445,8 @@ def test_cli_klabel_labels(capsys, tmp_path):
     labels = _labels(captured.out)
     assert labels["pi_trace"] == pytest.approx(1.0 / (2.0 * math.pi),
                                                rel=1e-9)
-    assert labels["pi_curves"] == pytest.approx(0.16575100015313213, rel=1e-9)
-    assert labels["boundary_force"] == pytest.approx(0.16482669348131726,
+    assert labels["pi_curves"] == pytest.approx(0.16575099823050354, rel=1e-9)
+    assert labels["boundary_force"] == pytest.approx(0.16482668535945258,
                                                      rel=1e-9)
 
 

@@ -461,6 +461,15 @@ def test_pi_trace_mass_threshold_sweep(mathieu, gap1):
         assert abs(res.value - ref.value) <= max(ref.error_estimate, 1e-4)
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, 1.0, 2.0])
+def test_pi_trace_refuses_mass_threshold_outside_unit_interval(mathieu, gap1,
+                                                               value):
+    # NaN, -1 and 2 read 0.0 +- 1e-5 on gap 1, where the label is 1/(2 pi)
+    with pytest.raises(ValueError, match="mass_threshold"):
+        klabel.pi_trace(mathieu, gap1, (0.0, 2.0 * math.pi), 0.1,
+                        mass_threshold=value)
+
+
 def test_pi_trace_h_refinement(mathieu, gap1):
     a = klabel.pi_trace(mathieu, gap1, (0.0, 2.0 * math.pi), 0.1, h=0.01)
     b = klabel.pi_trace(mathieu, gap1, (0.0, 2.0 * math.pi), 0.1, h=0.005)

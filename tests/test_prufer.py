@@ -145,10 +145,9 @@ def test_theta_grid_matches_scalar_path(mathieu):
 
 def test_theta_grid_underflow_names_component():
     # with no tolerance every trial step fails until the step underflows;
-    # the message names the component with the largest scaled error.  At
-    # E = 1 the free phase is linear and its error exactly 0 (0/0 is not
-    # largest); at E = 3 it is not
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+    # the message names the component with the largest error.  At E = 1
+    # the free phase is linear and its error exactly 0; at E = 3 it is not
+    with pytest.raises(
             prufer.StiffnessError, match=r"^step underflow at x=-1 "
             r"\(E=3\.0, xi=0\.5, side=left\)$"):
         prufer.theta_grid(ZERO, [1.0, 3.0], 0.5, -1.0, 1.0, 0.3, rtol=0.0,
@@ -241,3 +240,16 @@ def test_trace_translate_covariance(mathieu):
     tr1 = prufer.integrate(mathieu, 0.3, 0.8, -15.0, 0.0, 0.5)
     tr2 = prufer.integrate(shifted, 0.3, 0.0, -15.0, 0.0, 0.5)
     assert tr1.thetas[-1] == pytest.approx(tr2.thetas[-1], abs=1e-9)
+
+
+def test_alpha_trajectory_interpolant_tracks_a_fine_one(mathieu):
+    # alpha's trajectory at gap 1's mid-gap energy, for the six-window
+    # chain: its Hermite interpolant was 3.9e-5 off between nodes when the
+    # phase tolerance was relative to |theta|
+    e, x0, x1 = 0.5 * sum(mathieu_gap_edges(1)), -362.144, 262.144
+    seed = prufer.seed_decaying_left(mathieu, e, 0.0, -x0)
+    tr = prufer.integrate(mathieu, e, 0.0, x0, x1, seed, rtol=1e-9)
+    ref = prufer.integrate(mathieu, e, 0.0, x0, x1, seed, rtol=1e-12,
+                           max_step=0.05)
+    xs = np.linspace(-262.0, 262.0, 200001)
+    assert np.max(np.abs(tr.theta_at(xs) - ref.theta_at(xs))) < 1e-5

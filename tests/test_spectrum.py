@@ -134,6 +134,26 @@ def test_mathieu_gap_ids_periodic_labels(mathieu, gap1, gap2, x_chain_long):
         assert abs(res.value - n / (2.0 * math.pi)) < 1e-3
 
 
+def test_box_counts_near_gap_edges_are_exact(mathieu, x_chain_long):
+    # 3e-5 inside gap 1's lower edge, a phase tolerance relative to |theta|
+    # counted 513 states of the 546.85 there
+    a, b = x_chain_long.largest
+    for n in (1, 2):
+        lo, hi = mathieu_gap_edges(n)
+        for d in (1e-3, 3e-4, 1e-4, 3e-5):
+            for e in (lo + d, hi - d):
+                count = spectrum.eigenvalue_count(mathieu, a, b, 0.0, e,
+                                                  rtol=1e-6)
+                assert (abs(count - n * (b - a) / (2.0 * math.pi))
+                        <= spectrum.PLATEAU_STATES), (n, e)
+
+
+def test_ids_near_gap_edge_within_its_bar(mathieu, x_chain_long):
+    # read 0.149303 +- 4.9e-3 with the relative phase tolerance, 2 bars off
+    res = spectrum.ids(mathieu, mathieu_gap_edges(1)[0] + 3e-5, x_chain_long)
+    assert abs(res.value - 1.0 / (2.0 * math.pi)) <= res.error_estimate
+
+
 def test_detect_gaps_free_is_empty():
     assert spectrum.detect_gaps(ZERO, 0.0, 10.0, resolution=0.05) == []
 
@@ -149,6 +169,12 @@ def test_detected_gap_edges_match_band_oracle(mathieu_gaps):
         assert abs(gap.e_lower - lo) < 1e-2
         assert abs(gap.e_upper - hi) < 1e-2
         assert gap.confidence == "confirmed"
+
+
+def test_detected_gap_1_lower_edge_is_exact(mathieu_gaps):
+    # was 8.1e-5 inside the gap with the relative phase tolerance
+    lower = mathieu_gaps[0].e_lower
+    assert abs(lower - mathieu_gap_edges(1)[0]) < 1e-5
 
 
 def test_floquet_oracle_agrees_with_special_functions(mathieu):
