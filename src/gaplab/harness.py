@@ -251,13 +251,13 @@ def label_gap(config: ExperimentConfig, gap: Gap):
 
 
 def _scan(config: ExperimentConfig):
-    """detect_gaps(config), with the energies of the count scan on the
-    largest x window and their counts."""
-    gaps, energies, counts = spectrum._scan(
+    """detect_gaps(config), with the scan energies and the bump-mean
+    rotation number rho_T on the largest x window there."""
+    gaps, energies, rho = spectrum._scan(
         config.potential, config.e_min, config.e_max, config.resolution,
         config.x_chain)
     return [replace(g, margin_fraction=config.gap_edge_margin)
-            for g in gaps[: config.max_gaps]], energies, counts
+            for g in gaps[: config.max_gaps]], energies, rho
 
 
 def detect_gaps(config: ExperimentConfig) -> list[Gap]:
@@ -268,7 +268,7 @@ def detect_gaps(config: ExperimentConfig) -> list[Gap]:
 
 def run(config: ExperimentConfig):
     """Full pipeline: detect gaps, label each, optionally persist artifacts."""
-    gaps, energies, counts = _scan(config)
+    gaps, energies, rho = _scan(config)
     reports = []
     artifacts = []
     for gi, gap in enumerate(gaps):
@@ -280,7 +280,7 @@ def run(config: ExperimentConfig):
         reports.append(report)
         artifacts.append((gap, flow, beta_r, pt))
     if config.out_dir:
-        persist(config, reports, artifacts, energies, counts)
+        persist(config, reports, artifacts, energies, rho)
     return reports
 
 
@@ -299,20 +299,19 @@ def write_flow_curves(path: str, flows) -> None:
 
 
 def persist(config: ExperimentConfig, reports, artifacts, energies,
-            counts) -> None:
+            rho) -> None:
     """Write the JSON report and the CSV artifacts under out_dir; energies
-    and counts are the gap scan's box counts on the largest x window."""
+    and rho are the gap scan's energies and its IDS rho_T there."""
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)
         fh.write("\n")
 
-    a, b = config.x_chain.largest
     with open(os.path.join(out, "ids_scan.csv"), "w", encoding="utf-8") as fh:
         fh.write("energy,ids\n")
-        for e, c in zip(energies, counts):
-            fh.write(f"{_fmt(e)},{_fmt(c / (b - a))}\n")
+        for e, r in zip(energies, rho):
+            fh.write(f"{_fmt(e)},{_fmt(r)}\n")
 
     write_flow_curves(os.path.join(out, "flow_curves.csv"),
                       [flow for _, flow, _, _ in artifacts])

@@ -246,6 +246,7 @@ def _vector_step(v, e1):
     tab = np.empty_like(_TABLEAU)
     g = np.empty((6, n))
     arg = np.empty(n)
+    end = np.empty((3, n))   # theta at the end, error, change
     mag = np.zeros((2, n))   # |error| and |change| of theta
     stages = [((tab[k - 1, :k + 2], rows[:k + 2]) if k else None, g[k],
                rows[k + 2]) for k in range(6)]
@@ -259,9 +260,10 @@ def _vector_step(v, e1):
             np.sin(np.dot(*product, out=arg) if product else th, out=arg)
             np.multiply(arg, arg, out=arg)
             np.multiply(arg, gk, out=q)
-        out = np.dot(tab[5:], rows)   # theta at the end, error, change
-        np.abs(out[1:], out=mag)
-        return out[0], None, float(mag[0].max()), float(mag[1].max())
+        np.dot(tab[5:], rows, out=end)
+        np.abs(end[1:], out=mag)
+        # a copy: a view would keep all three rows alive in each landing
+        return end[0].copy(), None, float(mag[0].max()), float(mag[1].max())
 
     return step, mag[0]
 

@@ -30,6 +30,7 @@ from .potentials import PotentialSpec, WindowChain
 
 BUMP_MASS = 0.007029858406609656   # int_0^1 exp(-1/(t(1-t))) dt
 NODE_SPACING = 0.01   # of the trapezoid nodes; halved, alpha moves < 1e-12
+PAD = 100.0   # start of a trajectory before the largest window
 
 
 class InconsistencyError(RuntimeError):
@@ -139,7 +140,7 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
                         chain: WindowChain | None = None, *,
                         in_gap: bool | None = None,
                         rtol: float = prufer.DEFAULT_RTOL,
-                        pad: float = 100.0) -> AlphaResult:
+                        pad: float = PAD) -> AlphaResult:
     """Rotation number alpha = 2 rot(arg(psi' + i psi) / 2 pi) at energy E.
 
     One trajectory of the left-decaying solution is integrated across the

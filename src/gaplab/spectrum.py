@@ -4,6 +4,13 @@ of states, and spectral-gap detection.
 Counting rests on oscillation theory: with theta(a) = 0, the number of box
 eigenvalues at or below E equals floor(theta(b; E) / pi), because each box
 eigenfunction below E contributes one pi-crossing of the phase lift.
+
+Gaps come from the rotation number rho(E), the bump mean of theta'/pi, which
+equals the IDS: it is non-decreasing in E and constant exactly on the gaps
+(Johnson, J. Differential Equations 61, 1986).  One theta_grid pass over the
+scan energies, started PAD before the largest window, gives rho there; a
+grid cell across which it changes by at most FLAT lies in a gap, and the
+box count of the same pass brackets the gap's edges.
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import prufer
+from . import potentials, prufer, rotation
 from .potentials import PotentialSpec, WindowChain
 
 PLATEAU_STATES = 2          # boundary states a finite box may host inside a gap
 EDGE_MARGIN_FRACTION = 0.01  # relative gap-edge margin for downstream labels
+FLAT = 1e-5      # largest change of rho_T across a gap cell of the scan
+SEGMENT = 128    # landing nodes per theta_grid call of the gap scan
 
 
 @dataclass(frozen=True)
@@ -71,14 +80,6 @@ def eigenvalue_count(spec: PotentialSpec, a: float, b: float, xi: float,
         raise ValueError("need a < b")
     theta_b = float(_theta_end(spec, a, b, xi, energy, rtol))
     return math.floor(theta_b / math.pi + 1e-12)
-
-
-def counts_grid(spec: PotentialSpec, a: float, b: float, xi: float,
-                energies, *, rtol: float = 1e-6) -> np.ndarray:
-    """Vectorized eigenvalue counts for a whole energy grid (one ODE pass)."""
-    th = prufer.theta_grid(spec, np.asarray(energies, dtype=float), xi,
-                           a, b, 0.0, rtol=rtol)
-    return np.floor(th / math.pi + 1e-12).astype(int)
 
 
 def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
@@ -145,83 +146,74 @@ def ids(spec: PotentialSpec, energy: float, chain: WindowChain | None = None,
 
 def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
                 resolution: float = 0.02, chain: WindowChain | None = None,
-                xi: float = 0.0, rtol: float = 1e-6, min_cells: int = 2,
-                significance: float = 8.0) -> list[Gap]:
-    """Locate spectral gaps by scanning for plateaus of the box counts.
+                xi: float = 0.0, rtol: float = 1e-6) -> list[Gap]:
+    """Locate spectral gaps as the energy runs where the rotation number is
+    constant.
 
-    A maximal energy run over which the count on the largest window varies
-    by at most PLATEAU_STATES (finite boxes host O(1) boundary eigenvalues
-    inside true gaps) is a gap candidate.  A candidate only counts when the
-    flanking band density would have filled the run with at least
-    `significance` states, which separates true plateaus from short count
-    fluctuations on windows that are too small.  Runs flat on the two
-    largest windows are confirmed; edges are refined by one joint bisection
-    on the count jump.  Runs touching the scan boundary are dropped since
-    only one edge is visible.
+    One pass of the box problem on [a - PAD, b], (a, b) the largest window,
+    gives at each scan energy rho_T, the bump mean of theta'/pi over [a, b];
+    the pad lets the Dirichlet start's transient contract first.  A grid
+    cell across which rho_T changes by at most FLAT is a gap cell, and a
+    maximal run of them that touches neither scan end is a gap.  Its edges
+    are where the box count leaves the run's middle count by more than
+    PLATEAU_STATES, by one joint bisection, clipped into the band cell next
+    to the run (rho rose across it).  A gap is "confirmed" when rho over the
+    middle half of [a, b] is flat across the run too, else "heuristic".
     """
-    return _scan(spec, e_min, e_max, resolution, chain, xi, rtol, min_cells,
-                 significance)[0]
+    return _scan(spec, e_min, e_max, resolution, chain, xi, rtol)[0]
 
 
 def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
-          chain: WindowChain | None, xi: float = 0.0, rtol: float = 1e-6,
-          min_cells: int = 2, significance: float = 8.0):
-    """detect_gaps, returning also its scan energies and their counts on
-    the largest window."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    chain = chain or WindowChain.geometric()
-    w1 = chain.windows[-1]
-    w2 = chain.windows[-2] if len(chain) > 1 else w1
+          chain: WindowChain | None, xi: float = 0.0, rtol: float = 1e-6):
+    """detect_gaps, returning also its scan energies and rho_T there.
+
+    The pass lands on uniform nodes of [a, b] at most 1 / (6 f_max) and 0.5
+    apart (at 0.5 the golden potential's second harmonic aliases), SEGMENT
+    nodes at a time, so that memory stays bounded.
+    """
+    if not 0 < resolution < math.inf:
+        raise ValueError("resolution must be positive and finite")
+    if not -math.inf < e_min < e_max < math.inf:
+        raise ValueError("need finite e_min < e_max")
+    a, b = (chain or WindowChain.geometric()).largest
     n_grid = max(3, int(math.ceil((e_max - e_min) / resolution)) + 1)
     energies = np.linspace(e_min, e_max, n_grid)
-    c1 = counts_grid(spec, w1[0], w1[1], xi, energies, rtol=rtol)
+    per_unit = max(2.0, 6.0 * potentials.max_frequency(spec))
+    n = 4 * max(64, math.ceil((b - a) * per_unit / 4))
+    t = np.linspace(0.0, 1.0, n + 1)
+    # trapezoid weights of the bump means of theta'/pi over [a, b] and over
+    # its middle half, whose bump time is 2t - 1/2
+    weights = np.stack([rotation._bump(t, slope=True),
+                        4.0 * rotation._bump(2.0 * t - 0.5, slope=True)])
+    weights *= -1.0 / (n * (b - a) * math.pi)
+    rho, x, theta = 0.0, a - rotation.PAD, 0.0
+    k = math.ceil((n + 1) / SEGMENT)
+    for nodes, w in zip(np.array_split(np.linspace(a, b, n + 1), k),
+                        np.array_split(weights, k, axis=1)):
+        th = prufer.theta_grid(spec, energies, xi, x, nodes, theta, rtol=rtol)
+        rho = rho + w @ th
+        x, theta = nodes[-1], th[-1]
+    counts = np.floor(theta / math.pi + 1e-12).astype(int)
 
-    runs = []
-    start = 0
-    for i in range(1, n_grid):
-        if c1[i] - c1[start] > PLATEAU_STATES:
-            if i - 1 - start >= min_cells:
-                runs.append((start, i - 1))
-            start = i
-    if n_grid - 1 - start >= min_cells:
-        runs.append((start, n_grid - 1))
-
-    flank = 3
-    candidates = []
-    for (i0, i1) in runs:
-        if i0 == 0 or i1 == n_grid - 1:
-            continue  # touches the scan boundary; edges not establishable
-        j0 = max(0, i0 - flank)
-        j1 = min(n_grid - 1, i1 + flank)
-        left_rate = (c1[i0] - c1[j0]) / max(1, i0 - j0)
-        right_rate = (c1[j1] - c1[i1]) / max(1, j1 - i1)
-        expected = 0.5 * (left_rate + right_rate) * (i1 - i0)
-        if expected < significance:
-            continue
-        candidates.append((i0, i1, int(c1[(i0 + i1) // 2])))
-
+    # gap cells i0..i1 span energies i0..i1 + 1
+    flat = np.abs(np.diff(rho)) <= FLAT
+    ends = np.flatnonzero(np.diff(np.concatenate(([0], flat[0], [0]))))
+    runs = [(i0, i1) for i0, i1 in zip(ends[::2], ends[1::2] - 1)
+            if i0 > 0 and i1 < n_grid - 2]
     # An energy is still in the gap while at most PLATEAU_STATES box
-    # eigenvalues separate it from the plateau count n_ref: above the phase
-    # (n_ref - 2) pi at the lower edge, below (n_ref + 3) pi at the upper one.
-    # Each edge gets 16 halvings of its grid cell.
-    below, above, targets = [], [], []
-    for (i0, i1, n_ref) in candidates:
-        below += [energies[i0 - 1], energies[i1]]
-        above += [energies[i0], energies[i1 + 1]]
-        targets += [(n_ref - PLATEAU_STATES) * math.pi,
-                    (n_ref + PLATEAU_STATES + 1) * math.pi]
+    # eigenvalues separate it from the run's middle count n_ref: above the
+    # phase (n_ref - 2) pi at the lower edge, below (n_ref + 3) pi at the
+    # upper one.  Each edge gets 16 halvings of its grid cell.
+    n_ref = counts[[(i0 + i1 + 1) // 2 for i0, i1 in runs]]
+    targets = np.ravel(np.column_stack((n_ref - PLATEAU_STATES,
+                                        n_ref + PLATEAU_STATES + 1)))
+    j = np.clip(np.searchsorted(counts, targets), 1, n_grid - 1)
     edges = prufer.bisect(
-        lambda e, _: _theta_end(spec, w1[0], w1[1], xi, e, rtol),
-        below, above, targets, float(np.max(np.diff(energies))) / 2 ** 16)
-
-    gaps = []
-    for (i0, i1, _), lower, upper in zip(candidates, edges[::2], edges[1::2]):
-        if not upper > lower:
-            continue
-        c2 = counts_grid(spec, w2[0], w2[1], xi, energies[i0:i1 + 1],
-                         rtol=rtol)
-        confirmed = int(c2[-1] - c2[0]) <= PLATEAU_STATES
-        gaps.append(Gap(float(lower), float(upper),
-                        "confirmed" if confirmed else "heuristic"))
-    return gaps, energies, c1
+        lambda e, _: _theta_end(spec, a - rotation.PAD, b, xi, e, rtol),
+        energies[j - 1], energies[j], targets * math.pi,
+        float(np.max(np.diff(energies))) / 2 ** 16)
+    gaps = [Gap(float(np.clip(lower, energies[i0 - 1], energies[i0])),
+                float(np.clip(upper, energies[i1 + 1], energies[i1 + 2])),
+                "confirmed" if flat[1, i0:i1 + 1].all() else "heuristic")
+            for (i0, i1), lower, upper in zip(runs, edges[::2], edges[1::2])]
+    return gaps, energies, rho[0]

@@ -282,6 +282,18 @@ def test_csv_artifacts_have_headers(smoke_run):
         assert fh.readline().strip() == "gap_id,xi,phase"
 
 
+def test_ids_scan_is_the_label_inside_the_gap(smoke_run):
+    # the scan's bump-mean rotation number carries no boundary states
+    reports, tmp_path = smoke_run
+    lo, hi = reports[0].gap.trimmed()
+    with open(tmp_path / "ids_scan.csv", encoding="utf-8") as fh:
+        fh.readline()
+        rows = [tuple(map(float, line.split(","))) for line in fh]
+    inside = [ids for e, ids in rows if lo < e < hi]
+    assert len(inside) > 10
+    assert all(abs(ids - 1.0 / (2.0 * math.pi)) <= 1e-6 for ids in inside)
+
+
 def test_convergence_study_h_second_order():
     cfg = ExperimentConfig(potential=PotentialSpec.zero())
     rows = harness.convergence_study(cfg, "h")
@@ -379,7 +391,8 @@ def test_cli_flow_writes_float_csv(capsys, tmp_path):
     out = tmp_path / "flow"
     assert main(["flow", "--config", str(ini), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("gap (-1.064904, 0.581356): 8 curves over xi in "
+    # exact edges (-1.064795, 0.579509)
+    assert lines[0] == ("gap (-1.064848, 0.580346): 8 curves over xi in "
                         "[-10.4, 10.4]")
     spans = [line.split(" mu ")[0].split(": ", 1)[1] for line in lines[1:9]]
     assert spans == [
@@ -445,8 +458,8 @@ def test_cli_klabel_labels(capsys, tmp_path):
     labels = _labels(captured.out)
     assert labels["pi_trace"] == pytest.approx(1.0 / (2.0 * math.pi),
                                                rel=1e-9)
-    assert labels["pi_curves"] == pytest.approx(0.16575099823050354, rel=1e-9)
-    assert labels["boundary_force"] == pytest.approx(0.16482668535945258,
+    assert labels["pi_curves"] == pytest.approx(0.1657492165134462, rel=1e-9)
+    assert labels["boundary_force"] == pytest.approx(0.16482557842873644,
                                                      rel=1e-9)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import lattice, prufer, spectrum
+from gaplab import lattice, prufer, rotation, spectrum
 from gaplab.potentials import PotentialSpec, WindowChain
 
 from conftest import mathieu_gap_edges
@@ -17,9 +17,15 @@ def test_free_box_counts():
     assert spectrum.eigenvalue_count(ZERO, 0.0, math.pi, 0.0, 9.5) == 3
 
 
-def test_counts_grid_matches_scalar():
+def _grid_counts(spec, a, b, energies):
+    """Box counts of the numpy theta_grid path, one pass for all energies."""
+    theta = prufer.theta_grid(spec, energies, 0.0, a, b, 0.0, rtol=1e-6)
+    return np.floor(theta / math.pi + 1e-12).astype(int)
+
+
+def test_theta_grid_counts_match_scalar():
     es = np.linspace(0.2, 9.7, 23)
-    grid = spectrum.counts_grid(ZERO, 0.0, math.pi, 0.0, es)
+    grid = _grid_counts(ZERO, 0.0, math.pi, es)
     for e, c in zip(es, grid):
         assert c == spectrum.eigenvalue_count(ZERO, 0.0, math.pi, 0.0,
                                               float(e))
@@ -163,6 +169,71 @@ def test_detect_gaps_requires_positive_resolution(mathieu):
         spectrum.detect_gaps(mathieu, 0.0, 1.0, resolution=0.0)
 
 
+@pytest.mark.parametrize("e_min, e_max, resolution, message", [
+    (2.0, -2.0, 0.02, "need finite e_min < e_max"),
+    (-2.0, -2.0, 0.02, "need finite e_min < e_max"),
+    (-2.0, math.inf, 0.02, "need finite e_min < e_max"),
+    (math.nan, 2.0, 0.02, "need finite e_min < e_max"),
+    (-2.0, 2.0, math.inf, "resolution must be positive and finite"),
+    (-2.0, 2.0, math.nan, "resolution must be positive and finite"),
+])
+def test_detect_gaps_refuses_bad_scan_fields(mathieu, e_min, e_max,
+                                             resolution, message):
+    # gaps 1 and 2 lie in [-2, 2]: a range or resolution that cannot be
+    # scanned is refused, not read as "no gap"
+    with pytest.raises(ValueError, match=message):
+        spectrum.detect_gaps(mathieu, e_min, e_max, resolution=resolution)
+
+
+def test_gap_scan_is_one_pass(mathieu, monkeypatch):
+    # the multi-energy theta_grid calls of a scan tile [a - PAD, b] once,
+    # so no part of the box is integrated twice
+    spans = []
+    theta_grid = prufer.theta_grid
+
+    def spy(spec, energies, offsets, x_start, x_end, *args, **kwargs):
+        if np.size(energies) > 1:
+            spans.append((x_start, float(np.ravel(x_end)[-1]),
+                          np.size(energies)))
+        return theta_grid(spec, energies, offsets, x_start, x_end, *args,
+                          **kwargs)
+
+    monkeypatch.setattr(prufer, "theta_grid", spy)
+    monkeypatch.setattr(spectrum, "SEGMENT", 100)
+    chain = WindowChain.geometric(25.0, 1.6, 3)
+    gaps = spectrum.detect_gaps(mathieu, -2.0, 2.0, resolution=0.05,
+                                chain=chain)
+    assert len(gaps) == 2
+    a, b = chain.largest
+    starts, ends, sizes = zip(*spans)
+    assert len(spans) == 3   # 257 nodes, landed 100 at a time
+    assert starts[0] == a - rotation.PAD and ends[-1] == b
+    assert starts[1:] == ends[:-1]
+    assert set(sizes) == {81}
+
+
+def test_detect_gaps_golden_ids1_gap_is_one_gap():
+    # ids-1 gap (9.3569, 10.3606); the 205-long window holds one box state
+    # per 0.04 in E next to it, too few for its counts to place the edges
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    spec = PotentialSpec.cosine_sum([(1.0, 1.0, 2.0), (1.0, golden, 0.5)])
+    gaps = spectrum.detect_gaps(spec, -2.0, 12.0, resolution=0.02,
+                                chain=WindowChain.geometric(25.0, 1.6, 4))
+    assert len(gaps) == 1
+    assert 9.3569 < gaps[0].e_lower < gaps[0].e_upper < 10.3606
+
+
+def test_detect_gaps_short_chain_edges(mathieu):
+    # a 90-long largest window: the pad before it keeps the Dirichlet
+    # start's transient out of rho, which would split or lose a gap
+    gaps = spectrum.detect_gaps(mathieu, -1.5, 3.0, resolution=0.04,
+                                chain=WindowChain.geometric(20.0, 1.5, 3))
+    assert len(gaps) == 3
+    for n, gap in enumerate(gaps, start=1):
+        lo, hi = mathieu_gap_edges(n)
+        assert abs(gap.e_lower - lo) < 0.04 and abs(gap.e_upper - hi) < 0.04
+
+
 def test_detected_gap_edges_match_band_oracle(mathieu_gaps):
     for n, gap in enumerate(mathieu_gaps[:3], start=1):
         lo, hi = mathieu_gap_edges(n)
@@ -192,7 +263,7 @@ def test_gap_plateau_invariant(mathieu, gap1):
     a, b = chain.largest
     lo, hi = gap1.trimmed()
     es = np.linspace(lo, hi, 9)
-    counts = spectrum.counts_grid(mathieu, a, b, 0.0, es)
+    counts = _grid_counts(mathieu, a, b, es)
     assert counts.max() - counts.min() <= spectrum.PLATEAU_STATES
 
 
