@@ -58,6 +58,9 @@ PERSISTS = "persists"
 STABILITY_FACTOR = 1.5
 STABILITY_RESIDUAL = 1e-2
 
+FLOW_MU_TOL, FLOW_RTOL = 1e-7, 1e-8   # trace_flow's polish and pass tolerances
+VALUE_TOL = 1e-10   # polish tolerance of a single-offset query
+
 N_ENERGIES = 129  # Chebyshev-Lobatto energies of a window scan
 ARTIFACT_STRIDE = 4  # every fourth is a coarse node (see _artifact_band)
 BLOCK = 0.5  # span of a window block, in units of L
@@ -337,23 +340,21 @@ def _polish(phase, estimate, e_lo, e_hi, ends, shared, tol):
 
 
 def right_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
-                           L: float = 60.0, *, tol: float = 1e-10,
-                           rtol: float = 1e-12) -> list[float]:
+                           L: float = 60.0) -> list[float]:
     """Eigenvalues of the left half-line operator inside the trimmed gap.
 
-    Single-offset queries run at a tight integrator tolerance so a found
-    root reproduces |sin theta(0)| below 1e-10 on recheck.
+    Single-offset queries polish to VALUE_TOL on passes at rtol 1e-12, so a
+    found root reproduces |sin theta(0)| below 1e-10 on recheck.
     """
     return _window_scan(spec, gap, np.array([float(xi)]), L, (RIGHT,),
-                        mu_tol=tol, rtol=rtol)[RIGHT][0].tolist()
+                        mu_tol=VALUE_TOL, rtol=1e-12)[RIGHT][0].tolist()
 
 
 def left_dirichlet_values(spec: PotentialSpec, xi: float, gap: Gap,
-                          L: float = 60.0, *, tol: float = 1e-10,
-                          rtol: float = 1e-12) -> list[float]:
+                          L: float = 60.0) -> list[float]:
     """Mirror image: eigenvalues of the right half-line operator in the gap."""
     return _window_scan(spec, gap, np.array([float(xi)]), L, (LEFT,),
-                        mu_tol=tol, rtol=rtol)[LEFT][0].tolist()
+                        mu_tol=VALUE_TOL, rtol=1e-12)[LEFT][0].tolist()
 
 
 def _rank_curves(side: str, gap: Gap, xis: np.ndarray,
@@ -435,7 +436,7 @@ class Flow:
         return len(self.curves)
 
 
-def _certify(flow: Flow, side: str, reach: float, mu_tol: float) -> float:
+def _certify(flow: Flow, side: str, reach: float) -> float:
     """The largest bound B of a step of the side's lift; FlowResolutionError
     where a step with B < pi folds more than B allows.
 
@@ -443,8 +444,8 @@ def _certify(flow: Flow, side: str, reach: float, mu_tol: float) -> float:
     r0 and r1 values then changes the phase by at most B = max(r0 + r1, 1)
     2 pi reach/|gap|, plus 2 pi margin_fraction for each value that may
     enter or leave the trimmed gap (one within reach of its edges), plus
-    the polishing tolerance of every value.  Where B < pi, that makes the
-    folded change the true one.
+    the polishing tolerance FLOW_MU_TOL of every value.  Where B < pi, that
+    makes the folded change the true one.
     """
     gap = flow.gap
     lo, hi = gap.trimmed()
@@ -455,7 +456,7 @@ def _certify(flow: Flow, side: str, reach: float, mu_tol: float) -> float:
     per = TWO_PI / gap.width
     b = np.maximum(r[:-1] + r[1:], 1) * reach * per
     allowed = b + per * ((edge[:-1] + edge[1:]) * gap.margin
-                         + (r[:-1] + r[1:]) * mu_tol)
+                         + (r[:-1] + r[1:]) * FLOW_MU_TOL)
     d = np.abs(np.diff(flow.lifts[side]))
     log.debug("trace_flow: %s lift over %d offsets, largest fold %.3g of B",
               side, len(r), np.max(d / np.maximum(b, np.finfo(float).tiny)))
@@ -471,8 +472,7 @@ def _certify(flow: Flow, side: str, reach: float, mu_tol: float) -> float:
 
 
 def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
-               dxi: float, L: float = 60.0, *, sides=(RIGHT,),
-               mu_tol: float = 1e-7, rtol: float = 1e-8) -> Flow:
+               dxi: float, L: float = 60.0, *, sides=(RIGHT,)) -> Flow:
     """Each side's Dirichlet values over an offset grid, with certified
     lifts of their phase.
 
@@ -482,9 +482,10 @@ def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
     values moves a side's phase by at most B = max(r0 + r1, 1) sigma s, with
     sigma = 2 pi sup|V'|/|gap|; _certify checks every fold against it.
     Where a step has B >= pi, the grid step is divided by the power of two
-    that the scan's counts call for, and the scan repeated.  mu_tol is ten
-    times rtol, as in beta: the phase noise of a pass moves the values by
-    about that, which finer polishing splits.
+    that the scan's counts call for, and the scan repeated.  The values
+    are polished to FLOW_MU_TOL, ten times the pass tolerance FLOW_RTOL:
+    the phase noise of a pass moves them by about that, which finer
+    polishing splits.
     """
     if not xi_to > xi_from:
         raise ValueError("need xi_from < xi_to")
@@ -495,8 +496,8 @@ def trace_flow(spec: PotentialSpec, gap: Gap, xi_from: float, xi_to: float,
     while True:
         xis = _xi_grid(xi_from, xi_to, step)
         flow = Flow(gap=gap, xi=xis, values=_window_scan(
-            spec, gap, xis, L, sides, mu_tol=mu_tol, rtol=rtol))
-        worst = max(_certify(flow, side, speed * (xis[1] - xis[0]), mu_tol)
+            spec, gap, xis, L, sides, mu_tol=FLOW_MU_TOL, rtol=FLOW_RTOL))
+        worst = max(_certify(flow, side, speed * (xis[1] - xis[0]))
                     for side in sides)
         if worst < math.pi:
             return flow
@@ -549,9 +550,11 @@ class InterlacingReport:
     passed: bool
 
 
-def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side, *, dxi, rtol):
-    """Offsets where mu is a Dirichlet value: crossings of the boundary sine."""
-    n = max(3, int(math.ceil((xi_hi - xi_lo) / dxi)) + 1)
+def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side):
+    """Offsets where mu is a Dirichlet value: crossings of the boundary sine,
+    bracketed on offsets 0.05 apart, by passes at rtol 1e-11."""
+    rtol = 1e-11
+    n = max(3, int(math.ceil((xi_hi - xi_lo) / 0.05)) + 1)
     xis = np.linspace(xi_lo, xi_hi, n)
     th = _scan_theta(spec, float(mu), xis, L, side, rtol)
     kf = np.floor(th / math.pi + 1e-12).astype(int)
@@ -573,8 +576,7 @@ def _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, side, *, dxi, rtol):
 
 
 def interlacing_check(spec: PotentialSpec, gap: Gap, mu: float, xi_range,
-                      L: float = 60.0, *, dxi: float = 0.05,
-                      rtol: float = 1e-11) -> InterlacingReport:
+                      L: float = 60.0) -> InterlacingReport:
     """Between consecutive right-Dirichlet offsets lies exactly one left one.
 
     Also checks the zero-set identity: the right offsets s are the zeros of
@@ -585,10 +587,8 @@ def interlacing_check(spec: PotentialSpec, gap: Gap, mu: float, xi_range,
     differ in size, so an s that misses zeros of psi fails.
     """
     xi_lo, xi_hi = float(xi_range[0]), float(xi_range[1])
-    s = _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, RIGHT,
-                          dxi=dxi, rtol=rtol)
-    s_star = _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, LEFT,
-                               dxi=dxi, rtol=rtol)
+    s = _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, RIGHT)
+    s_star = _offset_crossings(spec, gap, mu, xi_lo, xi_hi, L, LEFT)
     violations = []
     for a, b in zip(s[:-1], s[1:]):
         inside = int(np.sum((s_star > a) & (s_star < b)))
@@ -657,8 +657,7 @@ class BetaResult:
 
 def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
          dxi: float = 0.1, L: float = 60.0, variant: str = "right_only", *,
-         flow: Flow | None = None, mu_tol: float = 1e-7,
-         rtol: float = 1e-8) -> BetaResult:
+         flow: Flow | None = None) -> BetaResult:
     """Dirichlet rotation number: minus the rotation of arg(mu_tilde)/2 pi.
 
     Unless a flow is supplied, it is traced once over the largest chain
@@ -668,8 +667,7 @@ def beta(spec: PotentialSpec, gap: Gap, chain: WindowChain | None = None,
     chain = chain or default_xi_chain()
     if flow is None:
         sides = (RIGHT,) if variant == "right_only" else (RIGHT, LEFT)
-        flow = trace_flow(spec, gap, *chain.largest, dxi, L, sides=sides,
-                          mu_tol=mu_tol, rtol=rtol)
+        flow = trace_flow(spec, gap, *chain.largest, dxi, L, sides=sides)
     phi = phase_lift(flow, variant)
     mean = rotation.sampled_rotation(flow.xi, -phi / TWO_PI, chain)
     return BetaResult(value=mean.extrapolated,

@@ -373,16 +373,15 @@ def convergence_study(config: ExperimentConfig, parameter: str,
         else:
             raise ValueError("no mid-gap Dirichlet value found for L sweep")
         prev = prev_diff = None
-        tol = 1e-10
         for L in values:
             vals = dirichlet.right_dirichlet_values(config.potential,
-                                                    xi_star, gap, L, tol=tol)
+                                                    xi_star, gap, L)
             mu = min(vals, key=lambda v: abs(v - gap.mid))
             row = {"L": L, "mu": float(mu)}
             if prev is not None:
                 diff = abs(mu - prev)
                 row["diff"] = diff
-                if prev_diff is not None and prev_diff > tol:
+                if prev_diff is not None and prev_diff > dirichlet.VALUE_TOL:
                     row["ratio"] = diff / prev_diff
                 prev_diff = diff
             prev = mu

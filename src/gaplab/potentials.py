@@ -54,6 +54,13 @@ class PotentialSpec:
         return cls(COSINE_SUM, tuple(terms))
 
 
+def require_finite(**values) -> None:
+    """ValueError naming the first argument that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def evaluate(spec: PotentialSpec, x, xi=0.0):
     """Evaluate V(x + xi).  Broadcasts over array-valued x and xi."""
     if spec.kind == ZERO:
@@ -179,8 +186,8 @@ class WindowChain:
         if not ws:
             raise ValueError("WindowChain needs at least one window")
         for a, b in ws:
-            if not b > a:
-                raise ValueError(f"degenerate window ({a}, {b})")
+            if not -math.inf < a < b < math.inf:
+                raise ValueError(f"window ({a}, {b}) needs finite a < b")
         for (a0, b0), (a1, b1) in zip(ws, ws[1:]):
             if a1 > a0 or b1 < b0:
                 raise ValueError("windows must be nested and increasing")
@@ -188,16 +195,14 @@ class WindowChain:
 
     @classmethod
     def geometric(cls, half_width: float = 25.0, ratio: float = 1.6,
-                  count: int = 8, center: float = 0.0) -> "WindowChain":
-        """Symmetric chain [center - c*r^n, center + c*r^n], n = 0..count-1."""
+                  count: int = 8) -> "WindowChain":
+        """Symmetric chain [-c*r^n, c*r^n], n = 0..count-1."""
         if not (0 < half_width < math.inf and 1 < ratio < math.inf
                 and count >= 1):
             raise ValueError("need finite half_width > 0 and ratio > 1, and "
                              f"count >= 1; got {half_width}, {ratio}, {count}")
-        return cls(tuple(
-            (center - half_width * ratio ** n, center + half_width * ratio ** n)
-            for n in range(count)
-        ))
+        return cls(tuple((-half_width * ratio ** n, half_width * ratio ** n)
+                         for n in range(count)))
 
     @property
     def largest(self) -> tuple[float, float]:

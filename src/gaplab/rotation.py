@@ -87,16 +87,15 @@ def _slope_means(lift, chain: WindowChain) -> LambdaMean:
     return window_mean(values)
 
 
-def lambda_mean(f, chain: WindowChain, *, quad_tol: float = 1e-9,
-                limit: int = 2000) -> LambdaMean:
-    """Window mean of a callable integrand: adaptive quadrature of f times
-    the bump per window."""
+def lambda_mean(f, chain: WindowChain) -> LambdaMean:
+    """Window mean of a callable integrand: adaptive quadrature, to 1e-9 of
+    the mean, of f times the bump per window."""
     from scipy import integrate as _sciint   # kept out of `import gaplab`
     values = []
     for (a, b) in chain.windows:
         val, _ = _sciint.quad(lambda x: f(x) * float(_bump((x - a) / (b - a))),
-                              a, b, epsabs=quad_tol * (b - a),
-                              epsrel=quad_tol, limit=limit)
+                              a, b, epsabs=1e-9 * (b - a), epsrel=1e-9,
+                              limit=2000)
         values.append(val / (b - a))
     return window_mean(values)
 
@@ -138,24 +137,23 @@ class AlphaResult:
 
 def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
                         chain: WindowChain | None = None, *,
-                        in_gap: bool | None = None,
-                        rtol: float = prufer.DEFAULT_RTOL,
-                        pad: float = PAD) -> AlphaResult:
+                        in_gap: bool | None = None) -> AlphaResult:
     """Rotation number alpha = 2 rot(arg(psi' + i psi) / 2 pi) at energy E.
 
-    One trajectory of the left-decaying solution is integrated across the
-    largest window, seeded a pad before it: the seed's error contracts like
-    exp(-2 gamma pad), with gamma the Lyapunov exponent, about 0.08 in the
-    middle of the golden potential's ids-1 gap.  Per window, the bump mean
-    of the slope of theta/pi and the bump-weighted count of the zeros z_j of
-    psi, sum_j w((z_j - a)/T)/T, give the two evaluations.  For energies inside bands the decaying
-    solution does not exist and the result is flagged heuristic.
+    One trajectory of the left-decaying solution, at DEFAULT_RTOL, crosses
+    the largest window, seeded PAD before it: the seed's error contracts like
+    exp(-2 gamma PAD), with gamma the Lyapunov exponent, about 0.08 in the
+    middle of the golden potential's ids-1 gap.  Per window, the bump mean of
+    the slope of theta/pi and the bump-weighted count of the zeros z_j of
+    psi, sum_j w((z_j - a)/T)/T, give the two evaluations.  For energies
+    inside bands the decaying solution does not exist (flagged heuristic).
     """
+    potentials.require_finite(energy=energy, xi=xi)
     chain = chain or WindowChain.geometric()
     a_big, b_big = chain.largest
-    x0 = a_big - pad
-    seed = prufer.seed_decaying_left(spec, energy, xi, -x0 if x0 < 0 else pad)
-    trace = prufer.integrate(spec, energy, xi, x0, b_big, seed, rtol=rtol)
+    x0 = a_big - PAD
+    seed = prufer.seed_decaying_left(spec, energy, xi, -x0 if x0 < 0 else PAD)
+    trace = prufer.integrate(spec, energy, xi, x0, b_big, seed)
 
     lift_mean = _slope_means(lambda x: trace.theta_at(x) / math.pi, chain)
     zs = prufer.crossings(trace, a_big, b_big)
@@ -163,11 +161,11 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
                              for a, b in chain.windows])
     ex_l, ex_z = lift_mean.extrapolated, zero_mean.extrapolated
     # Below the chain's last change sit the errors of the trajectory: both
-    # routes read it to its tolerance rtol, and read its interpolant apart
-    # (the lift over all of it, the zeros at single points), so their split
-    # measures the rest.  A route may be off by the split plus the other's
-    # error, so each bar takes the split twice; a split of a whole zero over
-    # the largest window is a fault.
+    # routes read it to its tolerance DEFAULT_RTOL, and read its interpolant
+    # apart (the lift over all of it, the zeros at single points), so their
+    # split measures the rest.  A route may be off by the split plus the
+    # other's error, so each bar takes the split twice; a split of a whole
+    # zero over the largest window is a fault.
     split, tol = abs(ex_l - ex_z), 1.0 / float(chain.lengths[-1])
     if split > tol:
         raise InconsistencyError(
@@ -175,7 +173,7 @@ def johnson_moser_alpha(spec: PotentialSpec, energy: float, xi: float = 0.0,
             f"{energy:.10g}, xi={xi:.10g}: {ex_l} vs {ex_z} (tolerance {tol})")
     lift_mean, zero_mean = (
         replace(m, error_estimate=m.error_estimate + 2.0 * split
-                + rtol * abs(m.extrapolated))
+                + prufer.DEFAULT_RTOL * abs(m.extrapolated))
         for m in (lift_mean, zero_mean))
 
     below = energy < -potentials.amplitude_bound(spec)

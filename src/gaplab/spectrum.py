@@ -26,6 +26,7 @@ from .potentials import PotentialSpec, WindowChain
 PLATEAU_STATES = 2          # boundary states a finite box may host inside a gap
 EDGE_MARGIN_FRACTION = 0.01  # relative gap-edge margin for downstream labels
 FLAT = 1e-5      # largest change of rho_T across a gap cell of the scan
+COUNT_RTOL = 1e-6  # phase tolerance of the ids and gap-scan box counts
 SEGMENT = 128    # landing nodes per theta_grid call of the gap scan
 
 
@@ -39,8 +40,8 @@ class Gap:
     margin_fraction: float = EDGE_MARGIN_FRACTION
 
     def __post_init__(self):
-        if not self.e_upper > self.e_lower:
-            raise ValueError("gap needs e_lower < e_upper")
+        if not -math.inf < self.e_lower < self.e_upper < math.inf:
+            raise ValueError("gap needs finite e_lower < e_upper")
 
     @property
     def width(self) -> float:
@@ -54,10 +55,9 @@ class Gap:
     def margin(self) -> float:
         return self.margin_fraction * self.width
 
-    def trimmed(self, margin: float | None = None) -> tuple[float, float]:
+    def trimmed(self) -> tuple[float, float]:
         """The gap with edge margins removed, where label formulas are safe."""
-        d = self.margin if margin is None else margin
-        return self.e_lower + d, self.e_upper - d
+        return self.e_lower + self.margin, self.e_upper - self.margin
 
 
 def _theta_end(spec: PotentialSpec, a: float, b: float, xi: float,
@@ -78,6 +78,7 @@ def eigenvalue_count(spec: PotentialSpec, a: float, b: float, xi: float,
     """Number of Dirichlet eigenvalues of the box [a, b] at or below energy."""
     if not b > a:
         raise ValueError("need a < b")
+    potentials.require_finite(energy=energy, xi=xi)
     theta_b = float(_theta_end(spec, a, b, xi, energy, rtol))
     return math.floor(theta_b / math.pi + 1e-12)
 
@@ -115,7 +116,7 @@ class IdsResult:
 
 
 def ids(spec: PotentialSpec, energy: float, chain: WindowChain | None = None,
-        xi: float = 0.0, *, rtol: float = 1e-6) -> IdsResult:
+        xi: float = 0.0) -> IdsResult:
     """Integrated density of states: eigenvalue count per unit length.
 
     Returns the last-window value; the error estimate is the spread of the
@@ -124,21 +125,13 @@ def ids(spec: PotentialSpec, energy: float, chain: WindowChain | None = None,
     decreasing.
     """
     chain = chain or WindowChain.geometric()
-    values = []
-    for (a, b) in chain.windows:
-        n = eigenvalue_count(spec, a, b, xi, energy, rtol=rtol)
-        values.append(n / (b - a))
-    values = np.array(values)
-    last_len = chain.lengths[-1]
-    if len(values) >= 3:
-        spread = float(np.ptp(values[-3:]))
-    else:
-        spread = float(np.ptp(values))
-    err = max(spread, PLATEAU_STATES / last_len)
-    converged = True
-    if len(values) >= 4:
-        prev = float(np.ptp(values[-4:-1]))
-        converged = spread <= prev + 1e-12
+    values = np.array([eigenvalue_count(spec, a, b, xi, energy,
+                                        rtol=COUNT_RTOL) / (b - a)
+                       for a, b in chain.windows])
+    spread = float(np.ptp(values[-3:]))
+    err = max(spread, PLATEAU_STATES / chain.lengths[-1])
+    converged = (len(values) < 4
+                 or spread <= float(np.ptp(values[-4:-1])) + 1e-12)
     return IdsResult(value=float(values[-1]), error_estimate=err,
                      window_values=tuple(float(v) for v in values),
                      converged=converged)
@@ -146,7 +139,7 @@ def ids(spec: PotentialSpec, energy: float, chain: WindowChain | None = None,
 
 def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
                 resolution: float = 0.02, chain: WindowChain | None = None,
-                xi: float = 0.0, rtol: float = 1e-6) -> list[Gap]:
+                xi: float = 0.0) -> list[Gap]:
     """Locate spectral gaps as the energy runs where the rotation number is
     constant.
 
@@ -160,11 +153,11 @@ def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
     to the run (rho rose across it).  A gap is "confirmed" when rho over the
     middle half of [a, b] is flat across the run too, else "heuristic".
     """
-    return _scan(spec, e_min, e_max, resolution, chain, xi, rtol)[0]
+    return _scan(spec, e_min, e_max, resolution, chain, xi)[0]
 
 
 def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
-          chain: WindowChain | None, xi: float = 0.0, rtol: float = 1e-6):
+          chain: WindowChain | None, xi: float = 0.0):
     """detect_gaps, returning also its scan energies and rho_T there.
 
     The pass lands on uniform nodes of [a, b] at most 1 / (6 f_max) and 0.5
@@ -190,7 +183,8 @@ def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
     k = math.ceil((n + 1) / SEGMENT)
     for nodes, w in zip(np.array_split(np.linspace(a, b, n + 1), k),
                         np.array_split(weights, k, axis=1)):
-        th = prufer.theta_grid(spec, energies, xi, x, nodes, theta, rtol=rtol)
+        th = prufer.theta_grid(spec, energies, xi, x, nodes, theta,
+                               rtol=COUNT_RTOL)
         rho = rho + w @ th
         x, theta = nodes[-1], th[-1]
     counts = np.floor(theta / math.pi + 1e-12).astype(int)
@@ -209,7 +203,7 @@ def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
                                         n_ref + PLATEAU_STATES + 1)))
     j = np.clip(np.searchsorted(counts, targets), 1, n_grid - 1)
     edges = prufer.bisect(
-        lambda e, _: _theta_end(spec, a - rotation.PAD, b, xi, e, rtol),
+        lambda e, _: _theta_end(spec, a - rotation.PAD, b, xi, e, COUNT_RTOL),
         energies[j - 1], energies[j], targets * math.pi,
         float(np.max(np.diff(energies))) / 2 ** 16)
     gaps = [Gap(float(np.clip(lower, energies[i0 - 1], energies[i0])),

@@ -66,8 +66,7 @@ def flow_gap1(mathieu, gap1, xi_chain):
     """Both curve families over the largest default offset window."""
     a, b = xi_chain.largest
     return dirichlet.trace_flow(mathieu, gap1, a, b, 0.1, 60.0,
-                                sides=(dirichlet.RIGHT, dirichlet.LEFT),
-                                mu_tol=1e-7)
+                                sides=(dirichlet.RIGHT, dirichlet.LEFT))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ assertions hold, so a verbose run doubles as the acceptance protocol.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -201,14 +202,21 @@ def test_criterion_10_determinism(tmp_path):
         x_chain=WindowChain.geometric(25.0, 1.6, 6),
         xi_chain=WindowChain.geometric(6.5, 1.6, 5),
         dxi=0.1, max_gaps=1)
+    artifacts = ("report.json", "ids_scan.csv", "flow_curves.csv",
+                 "mu_tilde_phase.csv", "trace_phase.csv")
     blobs = []
     for run_dir in ("one", "two"):
         out = tmp_path / run_dir
         run_cfg = harness.ExperimentConfig(
             **{**cfg.__dict__, "out_dir": str(out)})
         harness.run(run_cfg)
-        blobs.append((out / "report.json").read_bytes())
-    assert blobs[0] == blobs[1]
-    parsed = json.loads(blobs[0])
+        assert sorted(os.listdir(out)) == sorted(artifacts)
+        blobs.append({name: (out / name).read_bytes() for name in artifacts})
+    for name in artifacts:
+        assert blobs[0][name] == blobs[1][name], name
+        assert blobs[0][name].count(b"\n") > 1, name   # header and data
+    parsed = json.loads(blobs[0]["report.json"])
     assert parsed and parsed[0]["verdicts"]
-    _report(10, f"byte-identical reports ({len(blobs[0])} bytes)")
+    _report(10, "byte-identical artifacts ("
+               + ", ".join(f"{name} {len(blobs[0][name])} bytes"
+                           for name in artifacts) + ")")

@@ -69,11 +69,17 @@ def test_every_top_level_name_is_read():
 
 
 def test_every_option_is_passed():
-    # a defaulted parameter of a non-public top-level function that no call
-    # in the project passes, by name or by position, is an unused option; a
-    # call that forwards *args or **kwargs passes all.  Calls are matched by
-    # function name only, which can miss an unused option but not flag a
-    # used one
+    """A defaulted parameter of a top-level function, or of a method of a
+    top-level class, that no call in the project passes, by name or by
+    position, is an unused option: a configuration that no test or benchmark
+    runs.
+
+    Calls are matched by name only, which can miss an unused option but not
+    flag a used one.  Two cases stay out of sight: a call that forwards
+    *args or **kwargs passes every option of its name (detect_gaps,
+    trace_flow and WindowChain.geometric are called so), and a caller that
+    passes the default value itself counts as passing it.
+    """
     root = Path(gaplab.__file__).parents[2]
     trees = {p: ast.parse(p.read_text())
              for d in ("src", "tests", "perfbench", "scripts")
@@ -90,21 +96,29 @@ def test_every_option_is_passed():
             if (any(isinstance(a, ast.Starred) for a in call.args)
                     or None in named[name]):
                 forwarded.add(name)
-    unused = set()
+    functions = []   # (qualified name, definition, implicit first argument)
     for path in Path(gaplab.__file__).parent.glob("*.py"):
-        for fn in trees[path].body:
-            if (not isinstance(fn, ast.FunctionDef)
-                    or fn.name in gaplab.__all__ or fn.name in forwarded):
-                continue
-            args = fn.args.posonlyargs + fn.args.args
-            defaulted = [(i, a.arg) for i, a in enumerate(args)
-                         if i >= len(args) - len(fn.args.defaults)]
-            defaulted += [(len(args), a.arg) for a, d in zip(
-                fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-            unused |= {f"{path.stem}.{fn.name}({arg}=)" for i, arg in defaulted
-                       if i >= positional[fn.name]
-                       and arg not in named[fn.name]}
-    assert unused == set()
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((f"{path.stem}.{node.name}", node, 0))
+            elif isinstance(node, ast.ClassDef):
+                functions += [
+                    (f"{path.stem}.{node.name}.{fn.name}", fn, int(not any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in fn.decorator_list)))
+                    for fn in node.body if isinstance(fn, ast.FunctionDef)]
+    unused = set()
+    for qualified, fn, implicit in functions:
+        if fn.name in forwarded:
+            continue
+        args = fn.args.posonlyargs + fn.args.args
+        defaulted = [(i - implicit, a.arg) for i, a in enumerate(args)
+                     if i >= len(args) - len(fn.args.defaults)]
+        defaulted += [(len(args), a.arg) for a, d in zip(
+            fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        unused |= {f"{qualified}({arg}=)" for i, arg in defaulted
+                   if i >= positional[fn.name] and arg not in named[fn.name]}
+    assert sorted(unused) == []
 
 
 COLD_START = """

@@ -350,8 +350,7 @@ def test_step_shrinks_to_the_slope_bound(mathieu, gap1):
 def test_second_gap_flow_through_artifact_crossing(mathieu, gap2):
     # near xi = -252 (L = 60) the truncation-artifact branch crosses the
     # genuine curve; its ghost root must not split or distort the curve
-    flow = dirichlet.trace_flow(mathieu, gap2, -256.0, -248.0, 0.1, 60.0,
-                                mu_tol=1e-7)
+    flow = dirichlet.trace_flow(mathieu, gap2, -256.0, -248.0, 0.1, 60.0)
     rights = [c for c in flow if c.side == "right"]
     assert rights
     for c in rights:

@@ -354,6 +354,19 @@ def test_cli_error_paths(capsys):
     assert "error: no gap detected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ids", "--energy", "nan"], "error: energy must be finite, got nan"),
+    (["ids", "--energy", "1.0", "--xi", "inf"], "error: xi must be finite"),
+    (["rotation", "--energy", "inf"], "error: energy must be finite"),
+    (["rotation", "--energy", "1.0", "--xi", "inf"],
+     "error: xi must be finite, got inf")])
+def test_cli_refuses_non_finite_energy_and_offset(capsys, argv, message):
+    assert main(argv + ["--potential", "2,0.15915494309189535,0"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "underflow" not in captured.err and not captured.out
+
+
 def test_cli_usage_error_exit_code(capsys):
     # a malformed command line is not a failed verdict (2)
     assert main(["flow", "--xi-range", "-5:5"]) == USAGE_ERROR != 2

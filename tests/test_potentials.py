@@ -164,3 +164,9 @@ def test_non_finite_terms_and_chain_parameters_are_rejected():
                         (25.0, math.nan)):
         with pytest.raises(ValueError, match="half_width"):
             WindowChain.geometric(half, ratio, 4)
+    # WindowChain(((0, inf),)) once reached ids as a math domain error and
+    # alpha as a StiffnessError
+    for windows in (((0.0, math.inf),), ((-math.inf, 0.0),),
+                    ((math.nan, 1.0),), ((-1.0, 1.0), (-2.0, math.inf))):
+        with pytest.raises(ValueError, match="finite a < b"):
+            WindowChain(windows)

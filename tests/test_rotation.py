@@ -33,6 +33,20 @@ def test_window_mean_bar_is_rounding_level_on_flat_values():
         rotation.window_mean([0.7])
 
 
+@pytest.mark.parametrize("energy, xi, name", [
+    (math.nan, 0.0, "energy"), (-math.inf, 0.0, "energy"),
+    (-1.0, math.inf, "xi"), (-1.0, math.nan, "xi")])
+def test_alpha_refuses_non_finite_arguments(monkeypatch, energy, xi, name):
+    # refused before any pass, not as RuntimeWarnings and a math domain error
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(rotation.prufer, "integrate", no_pass)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        rotation.johnson_moser_alpha(ZERO, energy, xi,
+                                     WindowChain.geometric(10.0, 1.6, 2))
+
+
 def test_bump_mean_has_no_boundary_term():
     # a box mean of the slope of 0.3 x + sin x is off by up to 2/|W|, 5e-3 at
     # |W| = 400; the bump mean carries no boundary term, and its error falls

@@ -279,9 +279,30 @@ def test_gap_interior_eigenvalue_density_vanishes(mathieu, gap1):
 def test_gap_type_validation():
     with pytest.raises(ValueError):
         spectrum.Gap(1.0, 0.5)
+    # Gap(-1.06, inf) once reached pi_trace, which ran for 25 s and read
+    # gap 1 of 2 cos x as 0.0 +- 1e-5
+    for lower, upper in ((-1.06, math.inf), (-math.inf, 0.58),
+                         (math.nan, 0.58), (-1.06, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            spectrum.Gap(lower, upper)
     g = spectrum.Gap(0.0, 2.0)
     assert g.mid == 1.0
     assert g.trimmed() == (0.02, 1.98)
+
+
+@pytest.mark.parametrize("energy, xi, name", [
+    (math.nan, 0.0, "energy"), (math.inf, 0.0, "energy"),
+    (-1.0, math.inf, "xi"), (-1.0, math.nan, "xi")])
+def test_counts_refuse_non_finite_arguments(monkeypatch, energy, xi, name):
+    # refused before any pass, not as a step underflow of the integrator
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(prufer, "theta_grid", no_pass)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        spectrum.eigenvalue_count(ZERO, -25.0, 25.0, xi, energy)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        spectrum.ids(ZERO, energy, WindowChain.geometric(10.0, 1.6, 2), xi)
 
 
 def test_count_zeros_equals_eigenvalue_count(mathieu):
