@@ -11,15 +11,19 @@ at such a crossing theta' = 1, so crossings are transversal and the lift can
 never recross a multiple it has passed.  The amplitude is carried in log form
 because at spectral-gap energies solutions grow or decay exponentially.
 
-One adaptive Cash-Karp 5(4) loop advances the phase.  It has two front
-ends: `integrate` runs it on plain floats for a single trajectory, carrying
-log r and storing the accepted nodes for interpolation; `theta_grid` runs it
-with a stacked numpy step for a whole grid of (E, xi) components with shared
-adaptive steps, or on plain floats when the grid has one component.  A
-pass can land on a monotone array of points on its way, returning theta at
-each.  Every question of the form "where does theta cross a target" is
-answered by the one vectorized bracketed search `bisect`: ITP steps, or
-Newton steps from stencils when one pass evaluates all points.
+One adaptive Cash-Karp 5(4) loop advances the phase.  On plain floats it
+integrates the equations above, for `integrate` (one trajectory, storing the
+accepted nodes for interpolation) and a one-component `theta_grid`.  A
+larger `theta_grid` runs one numpy step over all its (E, xi) components with
+shared adaptive steps, on the linear system psi' = phi, phi' = (V - E) psi,
+whose stages take no sine; theta is the lift of each component's direction.
+Floats keep the theta equation: a Runge-Kutta step is exact on it at
+theta' = 1, which a test pins to 1e-12, and a float port of the linear step
+missed that by 1.5e-10 and made alpha's pass on gap 1 of 2cos x 1.4 to 1.9
+times slower.  A pass can land on a monotone array of points on its way,
+returning theta at each.  Every question of the form "where does theta cross
+a target" is answered by the one vectorized bracketed search `bisect`: ITP
+steps, or Newton steps from stencils when one pass evaluates all points.
 
 Every label is read off floor(theta / pi), so on every path the error
 control holds theta's absolute error alone: rtol is the error of theta
@@ -28,6 +32,7 @@ allowed per step, in units of pi.  log r, which no count reads, is carried.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +40,8 @@ import numpy as np
 
 from . import potentials
 from .potentials import PotentialSpec
+
+log = logging.getLogger(__name__)
 
 # Cash-Karp tableau
 _C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8
@@ -50,19 +57,18 @@ _E3 = 250 / 621 - 18575 / 48384
 _E4 = 125 / 594 - 13525 / 55296
 _E5 = -277 / 14336
 _E6 = 512 / 1771 - 1 / 4
-# The tableau over theta, 1 and q1..q6 with theta' = 1 + q (_vector_step):
-# stage arguments 2-6, then theta, error and change at the end.  h scales
-# every column but the first.
+# The tableau over the direction y = phi + i psi and its stage slopes of the
+# linear system (_vector_step): stage arguments 2-6, then y and its error.
+# h scales every column but the first.
 _C = np.array([0.0, _C2, _C3, _C4, _C5, _C6])
 _TABLEAU = np.array([
-    [1, _C2, _A21, 0, 0, 0, 0, 0],
-    [1, _C3, _A31, _A32, 0, 0, 0, 0],
-    [1, _C4, _A41, _A42, _A43, 0, 0, 0],
-    [1, _C5, _A51, _A52, _A53, _A54, 0, 0],
-    [1, _C6, _A61, _A62, _A63, _A64, _A65, 0],
-    [1, 1, _B1, 0, _B3, _B4, 0, _B6],
-    [0, 0, _E1, 0, _E3, _E4, _E5, _E6],
-    [0, 1, _B1, 0, _B3, _B4, 0, _B6]])
+    [1, _A21, 0, 0, 0, 0, 0],
+    [1, _A31, _A32, 0, 0, 0, 0],
+    [1, _A41, _A42, _A43, 0, 0, 0],
+    [1, _A51, _A52, _A53, _A54, 0, 0],
+    [1, _A61, _A62, _A63, _A64, _A65, 0],
+    [1, _B1, 0, _B3, _B4, 0, _B6],
+    [0, _E1, 0, _E3, _E4, _E5, _E6]])
 
 _MAX_DTHETA = 0.95 * math.pi / 2  # lift-continuity guard per accepted step
 
@@ -134,7 +140,7 @@ def _theta_rhs_scalar(v_of_x, energy):
     return rhs
 
 
-def _cash_karp(step, x_start, x_end, theta, carried=None, *, rtol,
+def _cash_karp(step, x_start, x_end, theta, carried, *, rtol,
                max_step, slope=None, record=None, context=lambda: ""):
     """Advance theta from x_start to x_end by adaptive Cash-Karp 5(4) steps.
 
@@ -144,11 +150,13 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, rtol,
     over components, and the largest phase change.  A step is accepted where
     the error is at most rtol * pi, so rtol 0 rejects every step, and the
     change below _MAX_DTHETA, which keeps the lift continuous.  `carried` is
-    a quantity the right-hand side does not read (log r), or None.
+    state the step advances with theta and no landing point keeps: log r,
+    or the numpy path's unit direction.
     slope(x, theta), if given, returns k1 = (theta', carried') at the start
     and at each accepted node, where record, if given, receives
     (x, theta, carried, theta'); else k1 is None.  context() ends the
-    message of a step underflow.  Returns theta and carried at x_end.
+    message of a step underflow.  Returns theta and carried at x_end; a
+    DEBUG line logs the pass's components, trial and rejected steps and span.
 
     x_end may instead be a 1-d array of landing points, strictly monotone in
     the direction of integration: the steps then land exactly on each of
@@ -171,6 +179,7 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, rtol,
     h = sgn * min(0.02, max_step)
     landed = []
     target = ends[0]
+    trials = rejected = 0
     while True:
         if abs(h) > max_step:
             h = sgn * max_step
@@ -181,6 +190,7 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, rtol,
         if last:
             h = target - x
         th_new, cr_new, err, dth_step = step(x, h, th, cr, k1)
+        trials += 1
         err = err / tol if tol else math.inf
         fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if dth_step >= _MAX_DTHETA:
@@ -200,7 +210,11 @@ def _cash_karp(step, x_start, x_end, theta, carried=None, *, rtol,
                 record((x, th, cr, k1[0]))
             if len(landed) == len(ends):
                 break
+        else:
+            rejected += 1
         h *= fac
+    log.debug("cash_karp: %d components, %d trial steps, %d rejected, x %.6g"
+              " to %.6g", np.size(theta), trials, rejected, x_start, ends[-1])
     if np.ndim(x_end) == 0:
         return landed[0], cr
     return np.array(landed), cr
@@ -231,41 +245,45 @@ def _float_step(rhs):
     return step
 
 
-def _vector_step(v, e1):
-    """Trial step of the numpy path, theta' = 1 + q, q = (E - 1 - V) sin^2
-    theta, for components e1 = E - 1 and potential v (offset_evaluator).
-    One array holds theta, ones and the six stages' q, so each stage
-    argument, and theta, error and change at the end, is one product of
-    h-scaled _TABLEAU rows with it.  Returns the step and the absolute
-    theta errors of its last trial.
+def _vector_step(v, energies):
+    """Trial step of the numpy path, psi' = phi, phi' = (V - E) psi, for
+    the given energies and potential v (offset_evaluator).  carried holds
+    each component's direction y = phi + i psi = exp(i theta).  One array
+    holds y and the six stages' slopes, so each stage argument, and y1 and
+    its error dy at the end, is one product of h-scaled _TABLEAU rows with
+    it.  theta turns by arg(y1 / y), with error |Im(dy / y1)|, the part of
+    dy across y1.  Returns the step and the theta errors of its last trial.
     """
-    n = e1.size
-    e1 = np.tile(e1, (6, 1))
-    rows = np.empty((8, n))
-    rows[1] = 1.0
-    tab = np.empty_like(_TABLEAU)
+    n = energies.size
+    z = np.empty((7, n), complex)   # y, then its slope at each stage
+    flat = z.view(float)
+    tab = _TABLEAU.copy()
+    scaled, unscaled = tab[:, 1:], _TABLEAU[:, 1:]
     g = np.empty((6, n))
-    arg = np.empty(n)
-    end = np.empty((3, n))   # theta at the end, error, change
-    mag = np.zeros((2, n))   # |error| and |change| of theta
-    stages = [((tab[k - 1, :k + 2], rows[:k + 2]) if k else None, g[k],
-               rows[k + 2]) for k in range(6)]
+    arg = np.empty(n, complex)
+    end = np.empty((2, n), complex)   # y1 and dy
+    err = np.empty(n)
+    stages = [((tab[k - 1, :k + 1], flat[:k + 1], arg.view(float))
+               if k else None, y.real, y.imag, g[k], z[k + 1].real,
+               z[k + 1].imag) for k, y in enumerate([z[0]] + [arg] * 5)]
 
     def step(x, h, th, cr, k1):
-        np.multiply(_TABLEAU, h, out=tab)
-        tab[:, 0] = _TABLEAU[:, 0]
-        np.subtract(e1, v(x + h * _C), out=g)
-        rows[0] = th
-        for product, gk, q in stages:
-            np.sin(np.dot(*product, out=arg) if product else th, out=arg)
-            np.multiply(arg, arg, out=arg)
-            np.multiply(arg, gk, out=q)
-        np.dot(tab[5:], rows, out=end)
-        np.abs(end[1:], out=mag)
-        # a copy: a view would keep all three rows alive in each landing
-        return end[0].copy(), None, float(mag[0].max()), float(mag[1].max())
+        np.multiply(unscaled, h, out=scaled)
+        np.subtract(v(x + h * _C), energies, out=g)
+        z[0] = cr
+        for product, phi, psi, gk, d_phi, d_psi in stages:
+            if product:
+                np.dot(*product)
+            np.copyto(d_psi, phi)
+            np.multiply(gk, psi, out=d_phi)
+        np.dot(tab[5:], flat, out=end.view(float))
+        y1, dy = end
+        turn = np.angle(y1 / cr)
+        np.abs((dy / y1).imag, out=err)
+        return (th + turn, y1 / np.abs(y1), float(err.max()),
+                float(np.abs(turn).max()))
 
-    return step, mag[0]
+    return step, err
 
 
 def integrate(spec: PotentialSpec, energy: float, offset: float,
@@ -307,14 +325,14 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
     landing points, strictly monotone in the direction of integration; the
     result then has a leading axis over them.  A grid of one component runs
     integrate's plain-float path instead: faster than the numpy step at
-    width one (a median 6.4 times over 15 paired 30-unit passes), and
-    bit-identical to integrate's endpoint.
+    width one (a median 5.2 times over 15 paired 30-unit passes at rtol 1e-8
+    on 2cos x), and bit-identical to integrate's endpoint.
     A step underflow names the component with the largest error.
 
     The numpy step (_vector_step) evaluates V(x + xi) at its six stage
     abscissae in one call, by angle addition (potentials.offset_evaluator),
-    and then costs per stage one array sine, one matrix-vector product and
-    two multiplications.
+    and then costs per stage one matrix-vector product, a copy and a
+    multiplication, and per step one arctangent.
     """
     E, xi, th0, mr = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (energies, offsets,
@@ -330,15 +348,18 @@ def theta_grid(spec: PotentialSpec, energies, offsets, x_start: float,
                            context=lambda: _where(e, x, m))
         return np.reshape(th, out_shape)
 
-    step, err = _vector_step(potentials.offset_evaluator(spec, xi, mr),
-                             E - 1.0)
+    step, err = _vector_step(potentials.offset_evaluator(spec, xi, mr), E)
 
     def context():   # the component with the largest error
         i = np.argmax(np.nan_to_num(err, nan=-1.0))
         return _where(E[i], xi[i], mr[i])
 
-    th, _ = _cash_karp(step, x_start, x_end, th0, rtol=rtol,
-                       max_step=max_step, context=context)
+    # |theta'| <= max(1, |E - V|) <= rate, so no step under the cap turns by
+    # 2 pi - _MAX_DTHETA: an accepted turn, read modulo 2 pi, is the turn
+    rate = max(1.0, np.max(np.abs(E)) + potentials.amplitude_bound(spec))
+    cap = (2.0 * math.pi - _MAX_DTHETA) / rate
+    th, _ = _cash_karp(step, x_start, x_end, th0, np.exp(1j * th0), rtol=rtol,
+                       max_step=min(max_step, cap), context=context)
     return th.reshape(out_shape)
 
 
@@ -445,14 +466,6 @@ def bisect(theta_of, below, above, target, tol: float, ends=None,
     return (0.5 * (below + above)).reshape(shape)
 
 
-def _seed_kappa(spec: PotentialSpec, energy, offset, x_anchor, window: float):
-    """Decay-rate estimate sqrt(max(Vbar - E, kappa_min)) near x_anchor."""
-    vbar = potentials.mean_value(
-        spec, np.asarray(x_anchor) + np.asarray(offset),
-        np.asarray(x_anchor) + window + np.asarray(offset))
-    return np.sqrt(np.maximum(np.asarray(vbar) - np.asarray(energy), KAPPA_MIN))
-
-
 def seed_decaying_left(spec: PotentialSpec, energy, offset, L, mirror=False):
     """Prufer angle of the direction decaying toward -infinity, at x = -L,
     of V(x + offset), or of V(-x + offset) where mirror is set.
@@ -465,9 +478,10 @@ def seed_decaying_left(spec: PotentialSpec, energy, offset, L, mirror=False):
     """
     L_arr = np.asarray(L, dtype=float)
     w = np.minimum(10.0, L_arr / 2.0)  # mirrored, [-L, -L + w] is [L - w, L]
-    kappa = _seed_kappa(spec, energy, offset, np.where(mirror, L_arr - w,
-                                                       -L_arr), w)
-    out = np.arctan(1.0 / kappa)
+    x0, xi = np.where(mirror, L_arr - w, -L_arr), np.asarray(offset)
+    vbar = potentials.mean_value(spec, x0 + xi, x0 + w + xi)
+    out = np.arctan(1.0 / np.sqrt(np.maximum(
+        np.asarray(vbar) - np.asarray(energy), KAPPA_MIN)))
     return float(out) if out.ndim == 0 else out
 
 

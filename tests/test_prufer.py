@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,10 +145,53 @@ def test_theta_grid_matches_scalar_path(mathieu):
                 assert th_one[0] == tr.thetas[-1]
 
 
+def _free_lift(energy, theta0, t):
+    """Exact theta lift of V = 0 from theta0 at t = 0, on a grid of t fine
+    enough to unwrap: the angle of (psi', psi) in closed form."""
+    s, c = np.sin(theta0)[:, None], np.cos(theta0)[:, None]
+    k = math.sqrt(abs(energy))
+    if energy > 0:
+        psi = s * np.cos(k * t) + c * np.sin(k * t) / k
+        dpsi = c * np.cos(k * t) - k * s * np.sin(k * t)
+    else:   # divided by cosh(k t), which leaves the angle
+        psi = s + c * np.tanh(k * t) / k
+        dpsi = c + k * s * np.tanh(k * t)
+    return np.unwrap(np.arctan2(psi, dpsi), axis=1)
+
+
+@pytest.mark.parametrize("energy", [-400.0, -1.0, 0.25, 4.0, 400.0])
+def test_theta_grid_matches_free_closed_form(caplog, energy):
+    # the numpy step reads each turn modulo 2 pi; its step cap keeps E = 400
+    # (20 rad per unit) from aliasing.  The solution grows by e^1200 at
+    # E = -400, which overflows unless each step renormalises it.
+    # Each accepted step may add rtol * pi to theta's error, so the pass's
+    # trial steps bound it.
+    rtol, theta0 = 1e-9, np.array([0.0, 1.0, 2.5])
+    ends = np.linspace(-30.0, 30.0, 51)[1:]
+    with caplog.at_level(logging.DEBUG, logger="gaplab.prufer"):
+        th = prufer.theta_grid(ZERO, energy, 0.0, -30.0, ends, theta0,
+                               rtol=rtol)
+    trials = int(re.search(r"(\d+) trial steps", caplog.text).group(1))
+    exact = _free_lift(energy, theta0, np.linspace(0.0, 60.0, 60001))
+    assert np.all(np.isfinite(th))
+    error = np.max(np.abs(th - exact[:, 1200::1200].T))
+    assert error < trials * rtol * math.pi
+
+
+def test_cash_karp_logs_each_pass_at_debug_level(caplog):
+    with caplog.at_level(logging.INFO, logger="gaplab.prufer"):
+        prufer.theta_grid(ZERO, [1.0, 3.0], 0.5, -1.0, 1.0, 0.3)
+    assert caplog.text == ""
+    with caplog.at_level(logging.DEBUG, logger="gaplab.prufer"):
+        prufer.theta_grid(ZERO, [1.0, 3.0], 0.5, -1.0, 1.0, 0.3)
+    assert re.fullmatch(r"cash_karp: 2 components, (\d+) trial steps, "
+                        r"(\d+) rejected, x -1 to 1", caplog.messages[-1])
+
+
 def test_theta_grid_underflow_names_component():
     # with no tolerance every trial step fails until the step underflows;
-    # the message names the component with the largest error.  At E = 1
-    # the free phase is linear and its error exactly 0; at E = 3 it is not
+    # the message names the component with the largest error: at E = 3 the
+    # direction turns faster than at E = 1
     with pytest.raises(
             prufer.StiffnessError, match=r"^step underflow at x=-1 "
             r"\(E=3\.0, xi=0\.5, side=left\)$"):
