@@ -9,7 +9,7 @@ the shooting code throughout the test suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from . import potentials
 from .potentials import PotentialSpec
@@ -49,6 +49,31 @@ def sturm_count(diag: np.ndarray, off_value: float, energy: float) -> int:
         q = d - energy if q is None else (d - energy) - c / (q or 1e-300)
         count += q < 0.0
     return int(count)
+
+
+def count_below(diag: np.ndarray, off: np.ndarray, energy: float) -> int:
+    """Number of eigenvalues < energy of the symmetric tridiagonal (diag, off),
+    from the inertia of the LU of T - E with partial pivoting (lapack.dgttrf).
+
+    Before step i of the elimination the active diagonal is c_i: the pivot
+    u_i, or dl_i u_i where rows i and i + 1 were swapped.  The leading
+    minors then satisfy D_{i+1}/D_i = c_i, or -e_{i-1} c_i/c_{i-1} after a
+    swap at step i - 1, and the negative ratios count the eigenvalues below
+    E (Sturm).  Needs at least 3 rows (dgttrf's wrapper refuses 1 and 2)
+    and off free of zeros; an exact zero c_i recounts one ulp lower.
+    """
+    if len(diag) < 3:
+        raise ValueError("count_below needs at least 3 rows")
+    dl, u, _, _, piv, _ = lapack.dgttrf(off, diag - energy, off,
+                                        overwrite_d=1)
+    swap = piv[:-1] != np.arange(1, len(u))   # ipiv is 1-based
+    c = u.copy()
+    c[:-1][swap] *= dl[swap]
+    if not c.all():
+        return count_below(diag, off, np.nextafter(energy, -np.inf))
+    negative = c < 0.0
+    negative[1:] ^= swap & (negative[:-1] ^ (off > 0.0))
+    return int(np.count_nonzero(negative))
 
 
 def fd_eigenvalue_count(spec: PotentialSpec, a: float, b: float, xi: float,

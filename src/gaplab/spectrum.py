@@ -28,6 +28,7 @@ EDGE_MARGIN_FRACTION = 0.01  # relative gap-edge margin for downstream labels
 FLAT = 1e-5      # largest change of rho_T across a gap cell of the scan
 COUNT_RTOL = 1e-6  # phase tolerance of the ids and gap-scan box counts
 SEGMENT = 128    # landing nodes per theta_grid call of the gap scan
+EIGENVALUE_TOL = 1e-9  # absolute tolerance of dirichlet_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,8 @@ def eigenvalue_count(spec: PotentialSpec, a: float, b: float, xi: float,
 
 
 def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
-                          e_min: float, e_max: float, *, tol: float = 1e-9,
-                          rtol: float = 1e-9) -> np.ndarray:
-    """All box eigenvalues in [e_min, e_max], refined to absolute tol.
+                          e_min: float, e_max: float) -> np.ndarray:
+    """All box eigenvalues in [e_min, e_max], refined to EIGENVALUE_TOL.
 
     Eigenvalue m solves theta(b; E) = m*pi, with theta(b; .) strictly
     increasing, so each one is bracketed by integer jumps of the count and
@@ -97,13 +97,13 @@ def dirichlet_eigenvalues(spec: PotentialSpec, a: float, b: float, xi: float,
         raise ValueError("need a < b and e_min < e_max")
 
     def theta_of(energies, _=None):
-        return _theta_end(spec, a, b, xi, energies, rtol)
+        return _theta_end(spec, a, b, xi, energies, prufer.DEFAULT_RTOL)
 
     t_lo, t_hi = theta_of(np.array([e_min, e_max]))
     k_first = int(math.ceil(t_lo / math.pi - 1e-12))
     k_last = int(math.floor(t_hi / math.pi + 1e-12))
     targets = np.arange(k_first, k_last + 1) * math.pi
-    return prufer.bisect(theta_of, e_min, e_max, targets, tol,
+    return prufer.bisect(theta_of, e_min, e_max, targets, EIGENVALUE_TOL,
                          ends=(t_lo, t_hi))
 
 
@@ -138,26 +138,27 @@ def ids(spec: PotentialSpec, energy: float, chain: WindowChain | None = None,
 
 
 def detect_gaps(spec: PotentialSpec, e_min: float, e_max: float, *,
-                resolution: float = 0.02, chain: WindowChain | None = None,
-                xi: float = 0.0) -> list[Gap]:
+                resolution: float = 0.02,
+                chain: WindowChain | None = None) -> list[Gap]:
     """Locate spectral gaps as the energy runs where the rotation number is
     constant.
 
-    One pass of the box problem on [a - PAD, b], (a, b) the largest window,
-    gives at each scan energy rho_T, the bump mean of theta'/pi over [a, b];
-    the pad lets the Dirichlet start's transient contract first.  A grid
-    cell across which rho_T changes by at most FLAT is a gap cell, and a
-    maximal run of them that touches neither scan end is a gap.  Its edges
-    are where the box count leaves the run's middle count by more than
-    PLATEAU_STATES, by one joint bisection, clipped into the band cell next
-    to the run (rho rose across it).  A gap is "confirmed" when rho over the
-    middle half of [a, b] is flat across the run too, else "heuristic".
+    One pass of the box problem at offset 0 on [a - PAD, b], (a, b) the
+    largest window, gives at each scan energy rho_T, the bump mean of
+    theta'/pi over [a, b]; the pad lets the Dirichlet start's transient
+    contract first.  A grid cell across which rho_T changes by at most FLAT
+    is a gap cell, and a maximal run of them that touches neither scan end
+    is a gap.  Its edges are where the box count leaves the run's middle
+    count by more than PLATEAU_STATES, by one joint bisection, clipped into
+    the band cell next to the run (rho rose across it).  A gap is
+    "confirmed" when rho over the middle half of [a, b] is flat across the
+    run too, else "heuristic".
     """
-    return _scan(spec, e_min, e_max, resolution, chain, xi)[0]
+    return _scan(spec, e_min, e_max, resolution, chain)[0]
 
 
 def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
-          chain: WindowChain | None, xi: float = 0.0):
+          chain: WindowChain | None):
     """detect_gaps, returning also its scan energies and rho_T there.
 
     The pass lands on uniform nodes of [a, b] at most 1 / (6 f_max) and 0.5
@@ -183,7 +184,7 @@ def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
     k = math.ceil((n + 1) / SEGMENT)
     for nodes, w in zip(np.array_split(np.linspace(a, b, n + 1), k),
                         np.array_split(weights, k, axis=1)):
-        th = prufer.theta_grid(spec, energies, xi, x, nodes, theta,
+        th = prufer.theta_grid(spec, energies, 0.0, x, nodes, theta,
                                rtol=COUNT_RTOL)
         rho = rho + w @ th
         x, theta = nodes[-1], th[-1]
@@ -203,7 +204,8 @@ def _scan(spec: PotentialSpec, e_min: float, e_max: float, resolution: float,
                                         n_ref + PLATEAU_STATES + 1)))
     j = np.clip(np.searchsorted(counts, targets), 1, n_grid - 1)
     edges = prufer.bisect(
-        lambda e, _: _theta_end(spec, a - rotation.PAD, b, xi, e, COUNT_RTOL),
+        lambda e, _: _theta_end(spec, a - rotation.PAD, b, 0.0, e,
+                                COUNT_RTOL),
         energies[j - 1], energies[j], targets * math.pi,
         float(np.max(np.diff(energies))) / 2 ** 16)
     gaps = [Gap(float(np.clip(lower, energies[i0 - 1], energies[i0])),

@@ -479,9 +479,13 @@ def test_cli_klabel_labels(capsys, tmp_path):
 def test_cli_verbose_logs_to_stderr(capsys, tmp_path):
     ini = tmp_path / "small.ini"
     ini.write_text(SMALL_INI, encoding="utf-8")
+    assert main(["klabel", "--config", str(ini)]) == 0
+    quiet = capsys.readouterr().out
     assert main(["--verbose", "klabel", "--config", str(ini)]) == 0
     captured = capsys.readouterr()
-    assert re.search(r"^pi_trace: window .* states bisected$", captured.err,
-                     re.MULTILINE)
+    assert re.search(r"^pi_trace: window .* \d+ steps lifted by counts, "
+                     r"\d+ by the fold rule, .* states bisected$",
+                     captured.err, re.MULTILINE)
+    assert captured.out == quiet
     assert _labels(captured.out)["pi_trace"] == pytest.approx(
         1.0 / (2.0 * math.pi), rel=1e-9)

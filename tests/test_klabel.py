@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,13 +140,97 @@ def test_pi_trace_abort_names_gap_and_window():
 @pytest.mark.parametrize("phase", [0.1, 2.977])
 @pytest.mark.parametrize("n, max_nodes", [(1, 30), (2, 45)])
 def test_pi_trace_node_choice_at_edge_trace_settings(n, max_nodes, phase):
-    # the nodes come from the slope bound alone, so dxi does not move them
+    # the nodes come from the slope bound and the counts alone, so dxi does
+    # not move them
     spec, gap = _shifted_mathieu(n, phase)
     res = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
     assert abs(res.value - n / (2.0 * math.pi)) < 1e-12
     assert len(res.xi_nodes) <= max_nodes
     coarse = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.4, 60.0, 0.01)
     assert np.array_equal(coarse.xi_nodes, res.xi_nodes)
+
+
+@pytest.mark.parametrize("phase", [0.1, 2.977, 4.0])
+@pytest.mark.parametrize("n, fold_nodes", [(1, 25), (2, 39)])
+def test_pi_trace_counts_halve_the_solves(monkeypatch, n, fold_nodes, phase):
+    # at the edge_trace settings the fold rule alone solved 25-26 units per
+    # trace on gap 1 and 39-40 on gap 2; the count rule steps by
+    # 0.8 |gap|/sup|V'| whatever the ranks
+    spec, gap = _shifted_mathieu(n, phase)
+    seen = _recording_projector(monkeypatch)
+    res = klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
+    assert abs(res.value - n / (2.0 * math.pi)) < 1e-12
+    assert 2 * len(seen) <= fold_nodes
+
+
+@pytest.mark.parametrize("n, h", [(1, 0.01), (2, 0.01), (1, 0.005),
+                                  (2, 0.005)])
+def test_count_below_matches_sturm_oracle_at_gap_edges(n, h):
+    # the half-lines of the edge_trace (h 0.01) and edge_labels (h 0.005)
+    # settings, at both gap edges and several offsets
+    spec, gap = _shifted_mathieu(n, 0.7)
+    for xi in (-2.0 * math.pi, -1.3, 0.4, 2.9):
+        op = klabel.build_halfline(spec, xi, 60.0, h)
+        for e in (gap.e_lower, gap.e_upper):
+            assert (lattice.count_below(op.diag, op.offdiag, e)
+                    == lattice.sturm_count(op.diag, float(op.offdiag[0]), e))
+
+
+def test_count_below_random_tridiagonals():
+    # off-diagonals of either sign; most eliminations swap rows somewhere
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(3, 30))
+        d, e = 2.0 * rng.standard_normal(n), rng.standard_normal(n - 1)
+        w = eigvalsh_tridiagonal(d, e)
+        energy = rng.uniform(w[0] - 1.0, w[-1] + 1.0)
+        assert lattice.count_below(d, e, energy) == np.sum(w < energy)
+        assert (lattice.count_below(d, np.full(n - 1, e[0]), energy)
+                == lattice.sturm_count(d, float(e[0]), energy))
+    # a zero pivot at an exact eigenvalue: -sqrt 2, 0 and sqrt 2
+    assert lattice.count_below(np.zeros(3), np.ones(2), 0.0) == 1
+    # 3 rows is the smallest size: dgttrf's wrapper refuses 1 and 2
+    assert lattice.count_below(np.array([0.0, 1.0, 2.0]), -np.ones(2),
+                               1.5) == 2
+    with pytest.raises(ValueError, match="3 rows"):
+        lattice.count_below(np.zeros(2), np.ones(1), 0.0)
+
+
+def _counted(counts, flags):
+    """A unit that carries only the counts and flags _wraps reads."""
+    return klabel.EdgeUnitary(Gap(0.0, 1.0), np.empty(0), np.empty((3, 0)),
+                              _counts=counts, _flags=np.array(flags, bool))
+
+
+def test_wraps_names_the_retained_crossings_at_each_edge():
+    # the node before holds two in-gap branches, the higher one retained
+    before = _counted((5, 7), [False, True])
+    assert klabel._wraps(before, _counted((5, 6), [False])) == 1
+    assert klabel._wraps(before, _counted((5, 8), [False, True, True])) == -1
+    assert klabel._wraps(before, _counted((4, 7), [False, False, True])) == 0
+    assert klabel._wraps(before, _counted((5, 7), [True, False])) == 0
+    # three branches leaving, or entering, through two: one crossed the gap
+    assert klabel._wraps(before, _counted((8, 9), [True])) is None
+    assert klabel._wraps(before, _counted((2, 3), [True])) is None
+    # a retained state appears or vanishes inside the gap
+    assert klabel._wraps(before, _counted((5, 7), [False, False])) is None
+    assert klabel._wraps(before, _counted((5, 6), [True])) is None
+    # a unit without flags is read by the fold rule
+    assert klabel._wraps(before, replace(before, _flags=None)) is None
+
+
+def test_edge_projector_flags_no_branch_of_a_mirror_mixture():
+    # at xi = L/2 the mirror-degenerate in-gap vectors are mixtures of the
+    # boundary and the truncation state, so the retained state is no single
+    # branch; a little off the mirror point it is one
+    spec, gap = _shifted_mathieu(2, 0.0)
+    mixed = klabel.edge_projector(klabel.build_halfline(spec, 30.0, 60.0,
+                                                        0.01), gap)
+    assert mixed.rank == 1 and mixed._flags is None
+    near = klabel.edge_projector(klabel.build_halfline(spec, 29.7, 60.0, 0.01),
+                                 gap)
+    assert near._counts == mixed._counts
+    assert list(near._flags) == [False, True] and near.rank == 1
 
 
 def test_pi_trace_unresolved_appearance_names_interval(monkeypatch, mathieu,
@@ -174,7 +259,9 @@ def test_pi_trace_unresolved_appearance_names_interval(monkeypatch, mathieu,
 def test_pi_trace_logs_nodes_at_debug_level(caplog, mathieu, gap1):
     with caplog.at_level(logging.DEBUG, logger="gaplab.klabel"):
         res = klabel.pi_trace(mathieu, gap1, (0.0, 2.0), 0.05, 20.0, 0.01)
-    assert f"{len(res.xi_nodes)} nodes solved, 0 steps halved" in caplog.text
+    steps = len(res.xi_nodes) - 1
+    assert (f"{steps + 1} nodes solved, 0 steps shortened, {steps} steps "
+            "lifted by counts, 0 by the fold rule") in caplog.text
     assert "window (0.0, 2.0)" in caplog.text
     # at the edge_trace settings every node, the first and those a state
     # enters included, is certified without eigh_tridiagonal
@@ -183,25 +270,34 @@ def test_pi_trace_logs_nodes_at_debug_level(caplog, mathieu, gap1):
         spec, gap = _shifted_mathieu(n, 0.1)
         with caplog.at_level(logging.DEBUG, logger="gaplab.klabel"):
             klabel.pi_trace(spec, gap, (-math.pi, math.pi), 0.05, 60.0, 0.01)
-        nodes, cold, sturms, solves, residuals, starts, bisected = map(
-            int, re.search(
-                r"(\d+) nodes solved, .* (\d+) cold eigensolves, "
-                r"(\d+) Sturm counts, (\d+) tridiagonal solves, "
-                r"(\d+) explicit residuals, (\d+) inverse-iteration starts, "
-                r"(\d+) states bisected", caplog.text).groups())
+        (nodes, cold, sturms, bisections, solves, residuals, starts,
+         bisected) = map(int, re.search(
+             r"(\d+) nodes solved, .* (\d+) cold eigensolves, "
+             r"(\d+) Sturm counts, (\d+) gap bisections, "
+             r"(\d+) tridiagonal solves, (\d+) explicit residuals, "
+             r"(\d+) inverse-iteration starts, (\d+) states bisected",
+             caplog.text).groups())
         assert cold == 0
         assert solves > 0 and bisected > 0
-        # one start per bisected state; at most one Sturm count per node,
-        # none where the bisection counts; about one residual per vector
+        # one start per bisected state; two Sturm counts per node, and a
+        # bisection of the gap only where they hold more states than the
+        # node before left in it; about one residual per vector
         assert starts == bisected
-        assert 0 < sturms < nodes
+        assert sturms == 2 * nodes
+        assert 0 < bisections < nodes
         assert 0 < residuals < solves / 2
+
+
+def _count(op, gap):
+    """Eigenvalues of op in the gap, the count _continue certifies against."""
+    return (lattice.count_below(op.diag, op.offdiag, gap.e_upper)
+            - lattice.count_below(op.diag, op.offdiag, gap.e_lower))
 
 
 def _cold_trace(monkeypatch, spec, gap, window, h):
     """pi_trace with every node solved by eigh_tridiagonal."""
     monkeypatch.setattr(klabel, "_continue",
-                        lambda op, gap, start: (None, None, 0, 0))
+                        lambda op, gap, start, count: (None, None, 0, 0))
     res = klabel.pi_trace(spec, gap, window, 0.05, 60.0, h)
     monkeypatch.undo()
     return res
@@ -281,9 +377,12 @@ def test_pi_trace_continuation_refused_where_uncertified(monkeypatch):
     assert entering
     assert not any(u._cold for u in entering)
     assert all(u._bisected for u in entering)
-    op, start, unit = seen[-1]
-    assert op.xi == 30.0 and start is not None
-    assert klabel._continue(op, gap, start)[0] is None
+    # the last steps shorten towards the window end, which is solved once
+    ends = [(op, s, u) for op, s, u in seen if op.xi == 30.0]
+    assert len(ends) == 1
+    op, start, unit = ends[0]
+    assert start is not None
+    assert klabel._continue(op, gap, start, _count(op, gap))[0] is None
     assert unit._cold and unit.rank == 1
 
 
@@ -298,7 +397,7 @@ def test_continuation_bisects_entering_states(x0, x1):
     start = klabel.edge_projector(klabel.build_halfline(spec, x0, 60.0, 0.01),
                                   gap)
     op = klabel.build_halfline(spec, x1, 60.0, 0.01)
-    w, _, _, bisected = klabel._continue(op, gap, start)
+    w, _, _, bisected = klabel._continue(op, gap, start, _count(op, gap))
     exact = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
                                  select_range=(gap.e_lower, gap.e_upper))
     assert bisected == 1 and len(exact) == start._in_gap.shape[1] + 1
@@ -330,7 +429,7 @@ def test_entering_states_take_one_inverse_iteration_start_each(monkeypatch):
 
     monkeypatch.setattr(lapack, "dgtsv", spy)
     monkeypatch.setattr(lapack, "dstein", lambda *args: dstein.append(args))
-    w, v, work, bisected = klabel._continue(op, gap, None)
+    w, v, work, bisected = klabel._continue(op, gap, None, _count(op, gap))
     # the starts are the solves that share one right-hand side
     shifts = [x for b, x in solves if sum(c is b for c, _ in solves) > 1]
     assert bisected == work[3] == len(shifts) == 2 and not dstein
@@ -352,7 +451,7 @@ def test_bisected_pair_short_of_kato_temple_is_refused(monkeypatch):
                                   gap)
     op = klabel.build_halfline(spec, x1, 60.0, 0.01)
     tol = np.finfo(float).eps * float(np.max(op.diag) - 2.0 * op.offdiag[0])
-    w, z, _, _ = klabel._continue(op, gap, start)
+    w, z, _, _ = klabel._continue(op, gap, start, _count(op, gap))
     assert start._in_gap.shape[1] == 0 and len(w) == 1
     noise = np.random.default_rng(0).standard_normal(len(op.diag))
 
@@ -373,7 +472,7 @@ def test_bisected_pair_short_of_kato_temple_is_refused(monkeypatch):
 
     monkeypatch.setattr(lapack, "dgtsv", dgtsv)
     monkeypatch.setattr(klabel, "RQI_STEPS", 1)
-    assert klabel._continue(op, gap, start)[0] is None
+    assert klabel._continue(op, gap, start, _count(op, gap))[0] is None
     assert klabel.edge_projector(op, gap, start=start)._cold
 
 
@@ -384,13 +483,13 @@ def test_continuation_refuses_pairs_short_of_kato_temple(monkeypatch):
     start = klabel.edge_projector(klabel.build_halfline(spec, 0.0, 60.0, 0.01),
                                   gap)
     op = klabel.build_halfline(spec, 0.05, 60.0, 0.01)
-    w, _, work, bisected = klabel._continue(op, gap, start)
+    w, _, work, bisected = klabel._continue(op, gap, start, _count(op, gap))
     exact = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
                                  select_range=(gap.e_lower, gap.e_upper))
     assert work[1] == 2 and bisected == 0 and len(w) == len(exact) == 1
     assert abs(w[0] - exact[0]) < 1e-10
     monkeypatch.setattr(klabel, "RQI_STEPS", 1)
-    assert klabel._continue(op, gap, start)[0] is None
+    assert klabel._continue(op, gap, start, _count(op, gap))[0] is None
 
 
 def test_continued_vector_takes_one_explicit_residual(monkeypatch):
@@ -414,9 +513,9 @@ def test_continued_vector_takes_one_explicit_residual(monkeypatch):
 
     monkeypatch.setattr(lapack, "dgtsv", solve)
     monkeypatch.setattr(klabel, "_rayleigh", rayleigh)
-    w, _, work, _ = klabel._continue(op, gap, start)
+    w, _, work, _ = klabel._continue(op, gap, start, _count(op, gap))
     assert start._in_gap.shape[1] == len(w) == 1
-    assert list(work) == [1, 2, 1, 0] and len(evaluated) == 1
+    assert list(work) == [0, 2, 1, 0] and len(evaluated) == 1
     rho = real_rayleigh(op, start._in_gap[:, 0])[0]
     assert abs(shifts[0] - rho) < 1e-9
 
